@@ -1,8 +1,7 @@
 #include "matmul/distribution.hpp"
 
 #include "util/error.hpp"
-#include "util/rng.hpp"
-#include "util/scalar.hpp"
+#include "util/matrix.hpp"
 
 namespace camb::mm {
 
@@ -68,45 +67,44 @@ std::vector<int> GridMap::fiber(int axis, i64 q1, i64 q2, i64 q3) const {
   return out;
 }
 
-template <typename T>
-std::vector<T> fill_chunk_indexed(const BlockChunk& chunk) {
+namespace {
+
+/// The chunk's entries of a global pattern, walked row run by row run (one
+/// divide per chunk, not per element).
+template <typename T, typename Entry>
+std::vector<T> fill_chunk(const BlockChunk& chunk, Entry entry) {
   std::vector<T> out(static_cast<std::size_t>(chunk.flat_size));
-  for (i64 f = 0; f < chunk.flat_size; ++f) {
-    const i64 flat = chunk.flat_start + f;
-    const i64 i = flat / chunk.cols;
-    const i64 j = flat % chunk.cols;
-    std::uint64_t s = static_cast<std::uint64_t>(
-        (chunk.row0 + i) * 0x1000003 + (chunk.col0 + j));
-    const double u =
-        static_cast<double>(camb::splitmix64(s) >> 11) * 0x1.0p-53 - 0.5;
-    out[static_cast<std::size_t>(f)] = ScalarTraits<T>::from_unit(u);
+  if (out.empty()) return out;
+  i64 i = chunk.flat_start / chunk.cols;
+  i64 j = chunk.flat_start % chunk.cols;
+  for (T& v : out) {
+    v = entry(chunk.row0 + i, chunk.col0 + j);
+    if (++j == chunk.cols) {
+      j = 0;
+      ++i;
+    }
   }
   return out;
 }
 
-#define CAMB_INSTANTIATE(T) \
-  template std::vector<T> fill_chunk_indexed<T>(const BlockChunk&);
-CAMB_FOR_EACH_SCALAR(CAMB_INSTANTIATE)
-#undef CAMB_INSTANTIATE
+}  // namespace
+
+template <typename T>
+std::vector<T> fill_chunk_indexed(const BlockChunk& chunk) {
+  return fill_chunk<T>(
+      chunk, [](i64 r, i64 c) { return camb::indexed_entry<T>(r, c); });
+}
 
 template <typename T>
 std::vector<T> fill_chunk_indexed_int(const BlockChunk& chunk) {
-  std::vector<T> out(static_cast<std::size_t>(chunk.flat_size));
-  for (i64 f = 0; f < chunk.flat_size; ++f) {
-    const i64 flat = chunk.flat_start + f;
-    const i64 i = flat / chunk.cols;
-    const i64 j = flat % chunk.cols;
-    std::uint64_t s = static_cast<std::uint64_t>(
-        (chunk.row0 + i) * 0x1000003 + (chunk.col0 + j));
-    const double v = static_cast<double>(camb::splitmix64(s) >> 60) - 8.0;
-    out[static_cast<std::size_t>(f)] = static_cast<T>(v);
-  }
-  return out;
+  return fill_chunk<T>(
+      chunk, [](i64 r, i64 c) { return camb::indexed_int_entry<T>(r, c); });
 }
 
-#define CAMB_INSTANTIATE_INT(T) \
+#define CAMB_INSTANTIATE(T)                                         \
+  template std::vector<T> fill_chunk_indexed<T>(const BlockChunk&); \
   template std::vector<T> fill_chunk_indexed_int<T>(const BlockChunk&);
-CAMB_FOR_EACH_SCALAR(CAMB_INSTANTIATE_INT)
-#undef CAMB_INSTANTIATE_INT
+CAMB_FOR_EACH_SCALAR(CAMB_INSTANTIATE)
+#undef CAMB_INSTANTIATE
 
 }  // namespace camb::mm

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <future>
 #include <limits>
 #include <sstream>
 #include <type_traits>
@@ -186,15 +187,19 @@ std::uint64_t hash_matrix(const Matrix<T>& m) {
   return h;
 }
 
-/// Place a flat chunk of a row-major block into the global matrix.
+/// Place a flat chunk of a row-major block into the global matrix, one
+/// contiguous row run at a time.
 template <typename T>
 void place_chunk(Matrix<T>& global, const BlockChunk& chunk,
                  const std::vector<T>& data) {
   CAMB_CHECK(static_cast<i64>(data.size()) == chunk.flat_size);
-  for (i64 f = 0; f < chunk.flat_size; ++f) {
+  for (i64 f = 0; f < chunk.flat_size;) {
     const i64 flat = chunk.flat_start + f;
-    global(chunk.row0 + flat / chunk.cols, chunk.col0 + flat % chunk.cols) =
-        data[static_cast<std::size_t>(f)];
+    const i64 j = flat % chunk.cols;
+    const i64 run = std::min(chunk.cols - j, chunk.flat_size - f);
+    std::copy(data.begin() + f, data.begin() + f + run,
+              &global(chunk.row0 + flat / chunk.cols, chunk.col0 + j));
+    f += run;
   }
 }
 
@@ -320,15 +325,29 @@ double check_result_pattern(const Shape& shape, const Matrix<T>& assembled,
       return assembled.max_abs_diff(camb::matmul_reference(a, b));
     }
     case VerifyMode::kFreivalds: {
-      Matrix<T> a, b;
-      fill_inputs<T>(shape, integer_inputs, a, b);
       Rng rng(0xF4E1);
-      return freivalds_residual<T>(a, b, assembled, /*trials=*/24, rng);
+      return freivalds_residual(
+          indexed_rows<T>(shape.n1, shape.n2, integer_inputs),
+          indexed_rows<T>(shape.n2, shape.n3, integer_inputs),
+          matrix_rows(assembled), /*trials=*/24, rng);
     }
     case VerifyMode::kAuto:
       break;
   }
   throw Error("unreachable verify mode");
+}
+
+/// Fingerprint and check an assembled C.  The hash runs on a thread of its
+/// own while the checker runs on the worker pool.
+template <typename T>
+void verify_assembled(const Shape& shape, const Matrix<T>& c, VerifyMode mode,
+                      bool integer_inputs, RunReport& report) {
+  auto hash =
+      std::async(std::launch::async, [&c] { return hash_matrix<T>(c); });
+  report.max_abs_error =
+      check_result_pattern<T>(shape, c, mode, integer_inputs);
+  report.output_hash = hash.get();
+  report.verified = true;
 }
 
 /// The inputs the ABFT algorithms fill: exact scalars use the plain indexed
@@ -363,15 +382,6 @@ double check_result(const Shape& shape, const MatrixD& assembled,
 }
 
 namespace {
-
-template <typename T>
-void place_block(Matrix<T>& global, const Block2DOutputT<T>& out) {
-  for (i64 i = 0; i < out.block.rows(); ++i) {
-    for (i64 j = 0; j < out.block.cols(); ++j) {
-      global(out.row0 + i, out.col0 + j) = out.block(i, j);
-    }
-  }
-}
 
 bool contains(const std::vector<int>& ranks, int r) {
   return std::find(ranks.begin(), ranks.end(), r) != ranks.end();
@@ -567,11 +577,8 @@ void verify_block2d(const Shape& shape,
                     bool integer_inputs = false) {
   if (opts.verify == VerifyMode::kNone) return;
   Matrix<T> c(shape.n1, shape.n3);
-  for (const auto& out : outs) place_block<T>(c, out);
-  report.output_hash = hash_matrix<T>(c);
-  report.max_abs_error =
-      check_result_pattern<T>(shape, c, opts.verify, integer_inputs);
-  report.verified = true;
+  for (const auto& out : outs) c.set_block(out.row0, out.col0, out.block);
+  verify_assembled<T>(shape, c, opts.verify, integer_inputs, report);
 }
 
 /// The Theorem 3 bound for (shape, P), scaled into the run's words: the
@@ -600,10 +607,8 @@ RunReport run_grid3d_t(const Grid3dConfig& cfg, const RunOptions& opts) {
     if (opts.verify != VerifyMode::kNone) {
       Matrix<T> c(cfg.shape.n1, cfg.shape.n3);
       for (const auto& out : outputs) place_chunk<T>(c, out.c_chunk, out.c_data);
-      report.output_hash = hash_matrix<T>(c);
-      report.max_abs_error = check_result_pattern<T>(cfg.shape, c, opts.verify,
-                                                     cfg.integer_inputs);
-      report.verified = true;
+      verify_assembled<T>(cfg.shape, c, opts.verify, cfg.integer_inputs,
+                          report);
     }
     return report;
   }
@@ -619,10 +624,7 @@ RunReport run_grid3d_t(const Grid3dConfig& cfg, const RunOptions& opts) {
   if (opts.verify != VerifyMode::kNone) {
     Matrix<T> c(cfg.shape.n1, cfg.shape.n3);
     for (const auto& out : outputs) place_chunk<T>(c, out.c_chunk, out.c_data);
-    report.output_hash = hash_matrix<T>(c);
-    report.max_abs_error = check_result_pattern<T>(cfg.shape, c, opts.verify,
-                                                   cfg.integer_inputs);
-    report.verified = true;
+    verify_assembled<T>(cfg.shape, c, opts.verify, cfg.integer_inputs, report);
   }
   return report;
 }
@@ -652,10 +654,7 @@ RunReport run_grid3d_staged_t(const Grid3dStagedConfig& cfg,
           place_chunk<T>(c, out.c_chunks[s], out.c_data[s]);
         }
       }
-      report.output_hash = hash_matrix<T>(c);
-      report.max_abs_error =
-          check_result_pattern<T>(cfg.shape, c, opts.verify, false);
-      report.verified = true;
+      verify_assembled<T>(cfg.shape, c, opts.verify, false, report);
     }
     return report;
   }
@@ -682,10 +681,7 @@ RunReport run_grid3d_staged_t(const Grid3dStagedConfig& cfg,
         place_chunk<T>(c, out.c_chunks[s], out.c_data[s]);
       }
     }
-    report.output_hash = hash_matrix<T>(c);
-    report.max_abs_error =
-        check_result_pattern<T>(cfg.shape, c, opts.verify, false);
-    report.verified = true;
+    verify_assembled<T>(cfg.shape, c, opts.verify, false, report);
   }
   return report;
 }
@@ -711,10 +707,7 @@ RunReport run_grid3d_agarwal_t(const Grid3dAgarwalConfig& cfg,
     if (opts.verify != VerifyMode::kNone) {
       Matrix<T> c(cfg.shape.n1, cfg.shape.n3);
       for (const auto& out : outputs) place_chunk<T>(c, out.c_chunk, out.c_data);
-      report.output_hash = hash_matrix<T>(c);
-      report.max_abs_error =
-          check_result_pattern<T>(cfg.shape, c, opts.verify, false);
-      report.verified = true;
+      verify_assembled<T>(cfg.shape, c, opts.verify, false, report);
     }
     return report;
   }
@@ -736,10 +729,7 @@ RunReport run_grid3d_agarwal_t(const Grid3dAgarwalConfig& cfg,
   if (opts.verify != VerifyMode::kNone) {
     Matrix<T> c(cfg.shape.n1, cfg.shape.n3);
     for (const auto& out : outputs) place_chunk<T>(c, out.c_chunk, out.c_data);
-    report.output_hash = hash_matrix<T>(c);
-    report.max_abs_error =
-        check_result_pattern<T>(cfg.shape, c, opts.verify, false);
-    report.verified = true;
+    verify_assembled<T>(cfg.shape, c, opts.verify, false, report);
   }
   return report;
 }
@@ -761,10 +751,7 @@ RunReport run_carma_t(const CarmaConfig& cfg, const RunOptions& opts) {
     if (opts.verify != VerifyMode::kNone) {
       Matrix<T> c(cfg.shape.n1, cfg.shape.n3);
       for (const auto& out : outputs) place_chunk<T>(c, out.holding, out.data);
-      report.output_hash = hash_matrix<T>(c);
-      report.max_abs_error =
-          check_result_pattern<T>(cfg.shape, c, opts.verify, false);
-      report.verified = true;
+      verify_assembled<T>(cfg.shape, c, opts.verify, false, report);
     }
     return report;
   }
@@ -784,10 +771,7 @@ RunReport run_carma_t(const CarmaConfig& cfg, const RunOptions& opts) {
   if (opts.verify != VerifyMode::kNone) {
     Matrix<T> c(cfg.shape.n1, cfg.shape.n3);
     for (const auto& out : outputs) place_chunk<T>(c, out.holding, out.data);
-    report.output_hash = hash_matrix<T>(c);
-    report.max_abs_error =
-        check_result_pattern<T>(cfg.shape, c, opts.verify, false);
-    report.verified = true;
+    verify_assembled<T>(cfg.shape, c, opts.verify, false, report);
   }
   return report;
 }
@@ -948,15 +932,12 @@ RunReport run_summa_abft_t(const SummaAbftConfig& cfg,
     for (i64 r = 0; r < P; ++r) {
       const SummaAbftOutputT<T>& out = outputs[static_cast<std::size_t>(r)];
       if (contains(crashed, static_cast<int>(r))) continue;
-      place_block<T>(c, out.own);
+      c.set_block(out.own.row0, out.own.col0, out.own.block);
       for (const RecoveredBlock2DT<T>& rec : out.recovered) {
-        place_block<T>(c, rec.out);
+        c.set_block(rec.out.row0, rec.out.col0, rec.out.block);
       }
     }
-    report.output_hash = hash_matrix<T>(c);
-    report.max_abs_error =
-        check_result_pattern<T>(cfg.base.shape, c, opts.verify, int_inputs);
-    report.verified = true;
+    verify_assembled<T>(cfg.base.shape, c, opts.verify, int_inputs, report);
   }
   return report;
 }
@@ -992,10 +973,7 @@ RunReport run_grid3d_abft_t(const Grid3dAbftConfig& cfg,
       for (const auto& out : outputs) {
         place_chunk<T>(c, out.own.c_chunk, out.own.c_data);
       }
-      report.output_hash = hash_matrix<T>(c);
-      report.max_abs_error =
-          check_result_pattern<T>(cfg.base.shape, c, opts.verify, int_inputs);
-      report.verified = true;
+      verify_assembled<T>(cfg.base.shape, c, opts.verify, int_inputs, report);
     }
     return report;
   }
@@ -1062,10 +1040,7 @@ RunReport run_grid3d_abft_t(const Grid3dAbftConfig& cfg,
         place_chunk<T>(c, rec.c_chunk, rec.c_data);
       }
     }
-    report.output_hash = hash_matrix<T>(c);
-    report.max_abs_error =
-        check_result_pattern<T>(cfg.base.shape, c, opts.verify, int_inputs);
-    report.verified = true;
+    verify_assembled<T>(cfg.base.shape, c, opts.verify, int_inputs, report);
   }
   return report;
 }
@@ -1179,10 +1154,7 @@ RunReport run_elastic_common(const Shape& shape, i64 P, bool int_inputs,
         place_chunk<T>(c, out.c_chunks[s], out.c_data[s]);
       }
     }
-    report.output_hash = hash_matrix<T>(c);
-    report.max_abs_error =
-        check_result_pattern<T>(shape, c, opts.verify, int_inputs);
-    report.verified = true;
+    verify_assembled<T>(shape, c, opts.verify, int_inputs, report);
   }
   return report;
 }

@@ -7,6 +7,7 @@
 // matmul/local_gemm.hpp.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <vector>
@@ -17,6 +18,34 @@
 #include "util/scalar.hpp"
 
 namespace camb {
+
+/// splitmix64 of the global index (row, col): the one seed expression behind
+/// both input patterns below.
+inline std::uint64_t index_hash(i64 row, i64 col) {
+  std::uint64_t s = static_cast<std::uint64_t>(row * 0x1000003 + col);
+  return splitmix64(s);
+}
+
+/// The library's deterministic input pattern: entry (row, col) of a global
+/// matrix, a unit draw in [-0.5, 0.5) from the index alone, mapped through
+/// ScalarTraits<T>::from_unit.  Every distributed fill, the serial reference
+/// and the verifier's on-the-fly operands read this one function, so they
+/// agree bit for bit.
+template <typename T>
+T indexed_entry(i64 row, i64 col) {
+  const double u =
+      static_cast<double>(index_hash(row, col) >> 11) * 0x1.0p-53 - 0.5;
+  return ScalarTraits<T>::from_unit(u);
+}
+
+/// Integer-valued pattern: small integers in [-8, 7].  Every sum-of-products
+/// over such entries is exact in double arithmetic (far below 2^53), hence
+/// independent of summation order — the property the ABFT checksum
+/// reconstruction relies on for bit-identical recovery.
+template <typename T>
+T indexed_int_entry(i64 row, i64 col) {
+  return static_cast<T>(static_cast<double>(index_hash(row, col) >> 60) - 8.0);
+}
 
 template <typename T>
 class Matrix {
@@ -62,7 +91,8 @@ class Matrix {
                        c0 + src.cols() <= cols_,
                    "set_block out of range");
     for (i64 i = 0; i < src.rows(); ++i) {
-      for (i64 j = 0; j < src.cols(); ++j) (*this)(r0 + i, c0 + j) = src(i, j);
+      const T* row = src.data() + i * src.cols();
+      std::copy(row, row + src.cols(), data() + (r0 + i) * cols_ + c0);
     }
   }
 
@@ -92,32 +122,22 @@ class Matrix {
     }
   }
 
-  /// Fill element (i, j) with a deterministic function of the *global* index
+  /// Fill element (i, j) with indexed_entry at the *global* index
   /// (gr0 + i, gc0 + j).  Used to build a distributed matrix whose contents
   /// are identical to a reference matrix built serially.
   void fill_indexed(i64 gr0, i64 gc0) {
     for (i64 i = 0; i < rows_; ++i) {
       for (i64 j = 0; j < cols_; ++j) {
-        std::uint64_t s =
-            static_cast<std::uint64_t>((gr0 + i) * 0x1000003 + (gc0 + j));
-        const double u =
-            static_cast<double>(splitmix64(s) >> 11) * 0x1.0p-53 - 0.5;
-        (*this)(i, j) = ScalarTraits<T>::from_unit(u);
+        (*this)(i, j) = indexed_entry<T>(gr0 + i, gc0 + j);
       }
     }
   }
 
-  /// Integer-valued variant of fill_indexed: small integers in [-8, 7].
-  /// Every sum-of-products over such entries is exact in double arithmetic
-  /// (far below 2^53), hence independent of summation order — the property
-  /// the ABFT checksum reconstruction relies on for bit-identical recovery.
+  /// Integer-valued variant of fill_indexed (indexed_int_entry).
   void fill_indexed_int(i64 gr0, i64 gc0) {
     for (i64 i = 0; i < rows_; ++i) {
       for (i64 j = 0; j < cols_; ++j) {
-        std::uint64_t s =
-            static_cast<std::uint64_t>((gr0 + i) * 0x1000003 + (gc0 + j));
-        (*this)(i, j) =
-            static_cast<T>(static_cast<double>(splitmix64(s) >> 60) - 8.0);
+        (*this)(i, j) = indexed_int_entry<T>(gr0 + i, gc0 + j);
       }
     }
   }

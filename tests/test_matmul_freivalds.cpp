@@ -65,9 +65,22 @@ TEST(Freivalds, ResidualIsTinyForCorrectAndLargeForWrong) {
 }
 
 TEST(Freivalds, ShapeChecks) {
+  // Both entry points share one validation: mismatched operands and a
+  // non-positive trial count fail fast instead of reading out of bounds or
+  // reporting an unchecked product as verified.
   Rng rng(5);
   MatrixD a(3, 4), b(5, 3), c(3, 3);
   EXPECT_THROW(freivalds_check(a, b, c, 4, rng), Error);
+  EXPECT_THROW(freivalds_residual(a, b, c, 4, rng), Error);
+  MatrixD b_ok(4, 3), c_wide(3, 4), c_tall(4, 3);
+  EXPECT_THROW(freivalds_residual(a, b_ok, c_wide, 4, rng), Error);
+  EXPECT_THROW(freivalds_residual(a, b_ok, c_tall, 4, rng), Error);
+  const MatrixD good = gemm(a, b_ok);
+  for (int trials : {0, -1}) {
+    EXPECT_THROW(freivalds_check(a, b_ok, good, trials, rng), Error);
+    EXPECT_THROW(freivalds_residual(a, b_ok, good, trials, rng), Error);
+  }
+  EXPECT_NO_THROW(freivalds_residual(a, b_ok, good, 1, rng));
 }
 
 TEST(Freivalds, RunnerAutoModeUsesItForLargeShapes) {
