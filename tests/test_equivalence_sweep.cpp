@@ -21,8 +21,16 @@
 // bit patterns; f64 output/time hashes are unchanged from the pre-dtype
 // harness because the f64 data path is bit-identical.
 //
+// A checkpoint leg (tests/golden/checkpoint_sweep.txt) pins the rollback
+// path the same way: every checkpoint-capable registry algorithm, clean and
+// with one seeded crash, in f64 and f32, under both schedulers.  Besides the
+// counts/time/output fingerprints it records the agreed rollback outcome
+// (rounds, final epoch, failed set).  Peak memory is deliberately left out.
+//
 // Regenerate (only when an *intentional* behavior change lands) with:
 //   CAMB_WRITE_GOLDEN=1 ./test_equivalence_sweep
+// (add --gtest_filter=CheckpointSweepGolden.* to rewrite only the
+// checkpoint file, or --gtest_filter=EquivalenceSweepGolden.* for the other).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -280,6 +288,134 @@ TEST(EquivalenceSweepGolden, WriteIfRequested) {
     }
   }
   write_golden(records);
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoint leg.
+// ---------------------------------------------------------------------------
+
+const Shape kCkptShape{16, 32, 24};
+/// Each algorithm runs at the first of these P it supports.
+const std::vector<i64> kCkptProcs = {8, 9};
+const std::vector<std::string> kCkptAlgos = {
+    "grid3d_optimal", "grid3d_agarwal95", "grid3d_staged4", "carma",
+    "summa",          "summa_abft",       "grid3d_abft",    "cannon",
+    "alg25d",         "naive_bcast"};
+const std::vector<DType> kCkptDtypes = {DType::kF64, DType::kF32};
+constexpr std::uint64_t kCkptSeed = 23;
+constexpr int kCkptCrashRank = 1;
+
+std::string ckpt_golden_path() {
+  return std::string(CAMB_GOLDEN_DIR) + "/checkpoint_sweep.txt";
+}
+
+/// One checkpoint record: the equivalence fingerprints plus the agreed
+/// rollback outcome, rendered as the text after " | ".
+std::string ckpt_record_of(const RunReport& report) {
+  const Record rec = record_of(report);
+  std::ostringstream failed;
+  for (std::size_t i = 0; i < report.resilience.failed.size(); ++i) {
+    failed << (i > 0 ? "," : "") << report.resilience.failed[i];
+  }
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "counts=%016llx time=%016llx out=%016llx rounds=%d epoch=%lld "
+                "failed=[%s]",
+                static_cast<unsigned long long>(rec.counts_hash),
+                static_cast<unsigned long long>(rec.time_bits),
+                static_cast<unsigned long long>(rec.output_hash),
+                report.resilience.rounds,
+                static_cast<long long>(report.resilience.final_epoch),
+                failed.str().c_str());
+  return buf;
+}
+
+/// Every checkpoint run of the leg under one scheduler, keyed
+/// "<algo>[~dtype] P=<p> <clean|crash>".
+std::map<std::string, std::string> run_ckpt_sweep(SchedulerKind scheduler) {
+  std::map<std::string, std::string> records;
+  for (const std::string& name : kCkptAlgos) {
+    const AlgorithmInfo& algo = algorithm_by_name(name);
+    i64 p = 0;
+    for (i64 candidate : kCkptProcs) {
+      if (algo.supports(kCkptShape, candidate)) {
+        p = candidate;
+        break;
+      }
+    }
+    EXPECT_GT(p, 0) << name << " supports none of the checkpoint-leg P";
+    if (p == 0) continue;
+    for (DType dtype : kCkptDtypes) {
+      for (bool crash : {false, true}) {
+        RunOptions opts = RunOptions::verified(VerifyMode::kReference);
+        opts.perturb.master_seed = kCkptSeed;
+        opts.scheduler.kind = scheduler;
+        opts.dtype = dtype;
+        opts.checkpoint.interval = 1;
+        opts.checkpoint.spares = 1;
+        if (crash) {
+          opts.crash.ranks = {kCkptCrashRank};
+          opts.crash.max_send_position = 4;
+        }
+        const std::string key = key_of(name, p, kCkptSeed, dtype) +
+                                (crash ? " crash" : " clean");
+        const RunReport report = algo.run_opts(kCkptShape, p, opts);
+        EXPECT_TRUE(report.verified) << key;
+        EXPECT_LT(report.max_abs_error, verify_tol(dtype)) << key;
+        EXPECT_EQ(report.recovery.crashed.empty(), !crash)
+            << key << ": " << report.resilience.summary();
+        records[key] = ckpt_record_of(report);
+      }
+    }
+  }
+  return records;
+}
+
+class CheckpointSweep : public ::testing::TestWithParam<SchedulerKind> {};
+
+TEST_P(CheckpointSweep, MatchesGolden) {
+  if (write_mode()) GTEST_SKIP() << "golden being rewritten";
+  std::map<std::string, std::string> golden;
+  std::ifstream in(ckpt_golden_path());
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    const auto bar = line.find(" | ");
+    ASSERT_NE(bar, std::string::npos) << "bad golden line: " << line;
+    golden[line.substr(0, bar)] = line.substr(bar + 3);
+  }
+  ASSERT_FALSE(golden.empty()) << "missing golden file " << ckpt_golden_path()
+                               << " — regenerate with CAMB_WRITE_GOLDEN=1";
+  const auto fresh = run_ckpt_sweep(GetParam());
+  EXPECT_EQ(fresh.size(), golden.size());
+  for (const auto& [key, rec] : fresh) {
+    const auto it = golden.find(key);
+    ASSERT_NE(it, golden.end()) << "no golden record for " << key;
+    EXPECT_EQ(rec, it->second) << key << " diverged from golden";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothSchedulers, CheckpointSweep,
+    ::testing::Values(SchedulerKind::kThreads, SchedulerKind::kFibers),
+    [](const ::testing::TestParamInfo<SchedulerKind>& info) {
+      return std::string(scheduler_kind_name(info.param));
+    });
+
+/// Regeneration entry point for the checkpoint leg (thread scheduler, like
+/// the main sweep's writer).
+TEST(CheckpointSweepGolden, WriteIfRequested) {
+  if (!write_mode()) {
+    GTEST_SKIP() << "set CAMB_WRITE_GOLDEN=1 to regenerate "
+                 << ckpt_golden_path();
+  }
+  const auto records = run_ckpt_sweep(SchedulerKind::kThreads);
+  std::ofstream out(ckpt_golden_path());
+  ASSERT_TRUE(out) << "cannot write " << ckpt_golden_path();
+  out << "# Golden checkpoint records: shape 16x32x24, interval 1, 1 spare,\n"
+      << "# reference-verified; crash legs crash rank " << kCkptCrashRank
+      << ". Hashes are FNV-1a.\n";
+  for (const auto& [key, rec] : records) out << key << " | " << rec << "\n";
 }
 
 }  // namespace
