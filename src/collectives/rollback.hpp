@@ -157,13 +157,18 @@ class RollbackStateT {
 };
 using RollbackState = RollbackStateT<double>;
 
-/// The per-execution-attempt face the algorithm twins program against:
-/// logical-rank geometry, recovery-region communicators translated through
-/// the hosts map, and epoch-boundary commits.  Constructed fresh for every
-/// execution round (its construction leases the round's commit tag block).
+/// The per-execution-attempt face every algorithm body programs against
+/// under checkpointing: logical-rank geometry, recovery-region communicators
+/// translated through the hosts map, and epoch-boundary commits.
+/// Constructed fresh for every execution round (its construction leases the
+/// round's commit tag block).  PlainSessionT below is the same face for a
+/// run without checkpointing; each body is one template over the two.
 template <typename T>
 class SessionT {
  public:
+  /// A failure aborts the attempt and the round loop rolls back.
+  static constexpr bool kRollback = true;
+
   explicit SessionT(RollbackStateT<T>& rb);
 
   /// Logical rank / logical machine size.
@@ -180,7 +185,7 @@ class SessionT {
   const SnapshotT<T>& snapshot() const;
 
   /// Recovery communicator over *logical* members, translated to physical
-  /// ranks through the agreed hosts map.  Twins make the identical sequence
+  /// ranks through the agreed hosts map.  Bodies make the identical sequence
   /// of comm() calls on every hosting rank (the SPMD lease contract).
   coll::Comm comm(const std::vector<int>& logical_members,
                   int tag_blocks = coll::Comm::kDefaultTagBlocks) const;
@@ -188,7 +193,7 @@ class SessionT {
   /// Epoch-boundary hook: commits a snapshot (built by `make`) when `step`
   /// is a multiple of the interval — replicates it to the buddy's host and
   /// stores the ward copy received from the ward's host, all in the
-  /// dedicated "checkpoint" phase.  The twin must set its own phase after
+  /// dedicated "checkpoint" phase.  The body must set its own phase after
   /// the call.  Throws PeerFailedError if a commit peer died.
   void boundary(i64 step, const std::function<SnapshotT<T>()>& make);
 
@@ -198,6 +203,40 @@ class SessionT {
   int commit_base_;
 };
 using Session = SessionT<double>;
+
+/// The session of a run without checkpointing: logical ranks are machine
+/// ranks, comm() builds the algorithm-region communicator, nothing is ever
+/// restored, and boundary() is empty, so the snapshot callback is never
+/// invoked.  Failures propagate to the body's caller.
+template <typename T>
+class PlainSessionT {
+ public:
+  static constexpr bool kRollback = false;
+
+  explicit PlainSessionT(RankCtx& ctx) : ctx_(ctx) {}
+
+  int rank() const { return ctx_.rank(); }
+  int nprocs() const { return ctx_.nprocs(); }
+  RankCtx& ctx() const { return ctx_; }
+
+  static constexpr i64 resume_step() { return 0; }
+  static constexpr bool restored() { return false; }
+  [[noreturn]] const SnapshotT<T>& snapshot() const {
+    throw Error("a plain run has no snapshot to restore");
+  }
+
+  coll::Comm comm(std::vector<int> members,
+                  int tag_blocks = coll::Comm::kDefaultTagBlocks) const {
+    return coll::Comm(ctx_, std::move(members), tag_blocks);
+  }
+
+  template <typename Make>
+  void boundary(i64, Make&&) const {}
+
+ private:
+  RankCtx& ctx_;
+};
+using PlainSession = PlainSessionT<double>;
 
 /// The round loop run by every physical rank: attempt the body, store its
 /// output under the results mutex, synchronize, repeat until every logical

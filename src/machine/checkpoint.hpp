@@ -33,6 +33,14 @@ struct SnapshotT {
 };
 using Snapshot = SnapshotT<double>;
 
+/// A snapshot of the given buffers; the commit stamps the epoch.
+template <typename T>
+SnapshotT<T> snapshot_of(std::vector<std::vector<T>> bufs) {
+  SnapshotT<T> snap;
+  snap.bufs = std::move(bufs);
+  return snap;
+}
+
 /// Wire format: [epoch, nbufs, size_0 .. size_{n-1}, buf_0 .. buf_{n-1}].
 /// Exact element count: 2 + nbufs + sum of sizes.  The header values travel
 /// as scalars of T so the whole wire is one homogeneous payload; epochs and

@@ -7,7 +7,6 @@
 #include "collectives/allreduce.hpp"
 #include "collectives/bcast.hpp"
 #include "collectives/coll_cost.hpp"
-#include "collectives/grid_comm.hpp"
 #include "collectives/reduce.hpp"
 #include "collectives/shrink.hpp"
 #include "machine/faults.hpp"
@@ -20,18 +19,6 @@ namespace camb::mm {
 namespace {
 
 int rank_of(i64 i, i64 j, i64 g) { return static_cast<int>(i * g + j); }
-
-BlockChunk full_block(const BlockDist1D& rows, i64 ri, const BlockDist1D& cols,
-                      i64 ci) {
-  BlockChunk chunk;
-  chunk.row0 = rows.start(ri);
-  chunk.col0 = cols.start(ci);
-  chunk.rows = rows.size(ri);
-  chunk.cols = cols.size(ci);
-  chunk.flat_start = 0;
-  chunk.flat_size = chunk.rows * chunk.cols;
-  return chunk;
-}
 
 /// The checksum-exact fill.  Exact scalars use the plain indexed pattern —
 /// integer arithmetic never rounds, so sums are order-independent without
@@ -104,48 +91,178 @@ std::vector<int> world_group(int nprocs) {
   return world;
 }
 
+/// Degraded local completion of checksum SUMMA: recompute this rank's tile
+/// and the checksums it holds from regenerated inputs (every input block is
+/// a pure function of its global position, so nothing is lost).
+template <typename T>
+void summa_abft_complete_locally(const SummaAbftConfig& cfg, i64 i, i64 j,
+                                 SummaAbftOutputT<T>& out) {
+  const i64 g = cfg.base.g;
+  const BlockDist1D d1(cfg.base.shape.n1, g), d2(cfg.base.shape.n2, g),
+      d3(cfg.base.shape.n3, g);
+  const i64 d1max = d1.size(0), d3max = d3.size(0);
+  const bool hold_s = (i == 0);
+  const bool hold_r = (j == 0);
+  const bool is_corner = (i == g - 1 && j == g - 1);
+  out.own.block = Matrix<T>(d1.size(i), d3.size(j));
+  if (hold_s) out.s_sum = Matrix<T>(d1max, d3.size(j));
+  if (hold_r) out.r_sum = Matrix<T>(d1.size(i), d3max);
+  if (is_corner) out.t_sum = Matrix<T>(d1max, d3max);
+  for (i64 t = 0; t < g; ++t) {
+    const Matrix<T> a_t = regen_block<T>(d1, i, d2, t);
+    const Matrix<T> b_t = regen_block<T>(d2, t, d3, j);
+    gemm_accumulate(a_t, b_t, out.own.block);
+    // The panel sums the encode reduces: every A_{., t} padded to d1max
+    // rows, every B_{t, .} padded to d3max columns.
+    Matrix<T> asum_t(d1max, d2.size(t)), bsum_t(d2.size(t), d3max);
+    if (hold_s || is_corner) {
+      for (i64 i2 = 0; i2 < g; ++i2) {
+        asum_t.add_block(0, 0, regen_block<T>(d1, i2, d2, t));
+      }
+    }
+    if (hold_r || is_corner) {
+      for (i64 j2 = 0; j2 < g; ++j2) {
+        bsum_t.add_block(0, 0, regen_block<T>(d2, t, d3, j2));
+      }
+    }
+    if (hold_s) gemm_accumulate(asum_t, b_t, out.s_sum);
+    if (hold_r) gemm_accumulate(a_t, bsum_t, out.r_sum);
+    if (is_corner) gemm_accumulate(asum_t, bsum_t, out.t_sum);
+  }
+}
+
+/// The plain-run tail of checksum SUMMA: crash agreement, then the
+/// reconstruction of a dead rank's tile by the survivors.
+template <typename T>
+void summa_abft_recover(RankCtx& ctx, const SummaAbftConfig& cfg,
+                        SummaAbftOutputT<T>& out, bool abandoned) {
+  const i64 g = cfg.base.g;
+  const BlockDist1D d1(cfg.base.shape.n1, g), d3(cfg.base.shape.n3, g);
+  const i64 d1max = d1.size(0), d3max = d3.size(0);
+
+  // Agreement: every survivor learns the same failed set.  The recovery
+  // world comm leases from the recovery cursor, which abandonment does not
+  // touch, so clean and abandoned survivors agree on its tags.
+  ctx.set_phase(kPhaseAbftShrink);
+  const coll::Comm rec_world =
+      coll::Comm::recovery(ctx, world_group(ctx.nprocs()));
+  const coll::ShrinkResult agreed =
+      coll::shrink(rec_world, cfg.max_failures, abandoned);
+  out.abandoned = abandoned;
+  out.failed = agreed.failed;
+  if (agreed.failed.empty()) return;
+  if (agreed.failed.size() > 1) {
+    std::ostringstream msg;
+    msg << "checksum SUMMA can reconstruct at most one failed rank; lost "
+        << agreed.failed.size() << " ranks";
+    throw Error(msg.str());
+  }
+
+  // Reconstruction: subtract the survivors' tiles from the checksum that
+  // covers the dead tile.  Which checksum depends on where the dead rank
+  // sat: S_dj unless the dead rank was its host (row 0), then R_0 unless
+  // the dead rank was (0, 0) itself, then the corner total T.
+  ctx.set_phase(kPhaseAbftRecover);
+  const int dead = agreed.failed.front();
+  const i64 di = dead / g, dj = dead % g;
+  enum class Pad { kRows, kCols, kBoth } pad_mode;
+  int host = -1;
+  std::vector<int> contributors;
+  const Matrix<T>* checksum = nullptr;
+  if (di != 0) {
+    pad_mode = Pad::kRows;
+    host = rank_of(0, dj, g);
+    for (i64 i2 = 0; i2 < g; ++i2) {
+      if (const int r = rank_of(i2, dj, g); r != dead) contributors.push_back(r);
+    }
+    checksum = &out.s_sum;
+  } else if (dj != 0) {
+    pad_mode = Pad::kCols;
+    host = rank_of(0, 0, g);
+    for (i64 j2 = 0; j2 < g; ++j2) {
+      if (const int r = rank_of(0, j2, g); r != dead) contributors.push_back(r);
+    }
+    checksum = &out.r_sum;
+  } else {
+    pad_mode = Pad::kBoth;
+    host = rank_of(g - 1, g - 1, g);
+    for (int r = 0; r < ctx.nprocs(); ++r) {
+      if (r != dead) contributors.push_back(r);
+    }
+    checksum = &out.t_sum;
+  }
+  // Every survivor constructs the contributor comm — non-members included —
+  // so the recovery lease sequence stays uniform; only members reduce.
+  const coll::Comm rec_contrib = coll::Comm::recovery(ctx, contributors);
+  if (!rec_contrib.member()) {
+    return;  // this survivor holds no piece of the covering checksum
+  }
+  const i64 pad_r = (pad_mode == Pad::kCols) ? d1.size(0) : d1max;
+  const i64 pad_c = (pad_mode == Pad::kRows) ? d3.size(dj) : d3max;
+  const std::vector<T> survivor_sum =
+      coll::reduce(rec_contrib, rec_contrib.index_of(host),
+                   pad_matrix(out.own.block, pad_r, pad_c));
+  if (ctx.rank() == host) {
+    RecoveredBlock2DT<T> rec;
+    rec.rank = dead;
+    rec.out.row0 = d1.start(di);
+    rec.out.col0 = d3.start(dj);
+    rec.out.block = Matrix<T>(d1.size(di), d3.size(dj));
+    for (i64 r = 0; r < rec.out.block.rows(); ++r) {
+      for (i64 c = 0; c < rec.out.block.cols(); ++c) {
+        rec.out.block(r, c) = (*checksum)(r, c) -
+                              survivor_sum[static_cast<std::size_t>(
+                                  r * pad_c + c)];
+      }
+    }
+    out.recovered.push_back(std::move(rec));
+  }
+}
+
 }  // namespace
 
-template <typename T>
-SummaAbftOutputT<T> summa_abft_rank(RankCtx& ctx, const SummaAbftConfig& cfg) {
+template <typename T, typename Session>
+SummaAbftOutputT<T> summa_abft_body(Session& session,
+                                    const SummaAbftConfig& cfg) {
+  RankCtx& ctx = session.ctx();
   const i64 g = cfg.base.g;
-  CAMB_CHECK_MSG(g * g == ctx.nprocs(), "SUMMA machine size must be g*g");
+  CAMB_CHECK_MSG(g * g == session.nprocs(), "SUMMA machine size must be g*g");
   CAMB_CHECK_MSG(g >= 2, "checksum-augmented SUMMA needs grid edge g >= 2");
   CAMB_CHECK_MSG(cfg.max_failures >= 0, "max_failures must be non-negative");
-  const i64 i = ctx.rank() / g;
-  const i64 j = ctx.rank() % g;
+  const i64 i = session.rank() / g;
+  const i64 j = session.rank() % g;
   const BlockDist1D d1(cfg.base.shape.n1, g), d2(cfg.base.shape.n2, g),
       d3(cfg.base.shape.n3, g);
   const i64 d1max = d1.size(0);  // near-equal split: piece 0 is largest
   const i64 d3max = d3.size(0);
 
   // Owned blocks (checksum-exact pattern: see abft_fill on exactness).
-  std::vector<T> a_own = abft_fill<T>(full_block(d1, i, d2, j));
-  std::vector<T> b_own = abft_fill<T>(full_block(d2, i, d3, j));
+  const std::vector<T> a_own = abft_fill<T>(full_block(d1, i, d2, j));
+  const std::vector<T> b_own = abft_fill<T>(full_block(d2, i, d3, j));
 
   SummaAbftOutputT<T> out;
   out.own.row0 = d1.start(i);
   out.own.col0 = d3.start(j);
   out.own.block = Matrix<T>(d1.size(i), d3.size(j));
 
-  // Checksum holders: S_j on row 0, R_i on column 0, T on the corner.
+  // Checksum holders: S_j on row 0, R_i on column 0, T on the corner.  They
+  // accumulate in place in the output, which exports them for the runner's
+  // single-error correction pass (summa_abft_correct).
   const bool hold_s = (i == 0);
   const bool hold_r = (j == 0);
   const bool is_corner = (i == g - 1 && j == g - 1);
-  const int corner = rank_of(g - 1, g - 1, g);
-  Matrix<T> s_sum, r_sum, t_sum;
-  if (hold_s) s_sum = Matrix<T>(d1max, d3.size(j));
-  if (hold_r) r_sum = Matrix<T>(d1.size(i), d3max);
-  if (is_corner) t_sum = Matrix<T>(d1max, d3max);
+  if (hold_s) out.s_sum = Matrix<T>(d1max, d3.size(j));
+  if (hold_r) out.r_sum = Matrix<T>(d1.size(i), d3max);
+  if (is_corner) out.t_sum = Matrix<T>(d1max, d3max);
 
   // Fibers of the g x g grid; each fiber serves 2 collectives per stage plus
   // (on the extreme row/column) one forwarding block, so size the leases to
   // the stage count.
   const int fiber_blocks = std::max(coll::Comm::kDefaultTagBlocks,
                                     static_cast<int>(2 * g) + 2);
-  const coll::GridComm grid(ctx, Grid3{g, g, 1}, fiber_blocks);
-  const coll::Comm& my_row = grid.fiber(1);  // index within = j
-  const coll::Comm& my_col = grid.fiber(0);  // index within = i
+  const GridMap map(Grid3{g, g, 1});
+  const coll::Comm my_row = session.comm(map.fiber(1, i, j, 0), fiber_blocks);
+  const coll::Comm my_col = session.comm(map.fiber(0, i, j, 0), fiber_blocks);
   // Tag blocks for the per-stage checksum forwards to the corner: one block
   // on the corner's column fiber (taken by all its members, in lockstep) and
   // one on its row fiber; stage t uses offset t.
@@ -153,11 +270,25 @@ SummaAbftOutputT<T> summa_abft_rank(RankCtx& ctx, const SummaAbftConfig& cfg) {
   const int fwd_b_tags = (i == g - 1) ? my_row.take_tag_block() : 0;
   CAMB_CHECK_MSG(g < kTagBlockWidth, "grid edge too large for one tag block");
 
-  bool abandoned = false;
-  try {
-    for (i64 t = 0; t < g; ++t) {
+  // The stage loop, with a boundary after every stage: the snapshot is the
+  // tile plus whichever checksums this rank holds.
+  std::vector<Matrix<T>*> state = {&out.own.block};
+  if (hold_s) state.push_back(&out.s_sum);
+  if (hold_r) state.push_back(&out.r_sum);
+  if (is_corner) state.push_back(&out.t_sum);
+  const auto stages = [&] {
+    const i64 t0 = session.resume_step();
+    if (session.restored()) {
+      const SnapshotT<T>& snap = session.snapshot();
+      CAMB_CHECK(snap.bufs.size() == state.size());
+      for (std::size_t b = 0; b < state.size(); ++b) {
+        CAMB_CHECK(static_cast<i64>(snap.bufs[b].size()) == state[b]->size());
+        std::copy(snap.bufs[b].begin(), snap.bufs[b].end(), state[b]->data());
+      }
+    }
+    for (i64 t = t0; t < g; ++t) {
       // Base SUMMA stage: A block-column t along rows, B block-row t along
-      // columns, local accumulate (identical to summa_rank).
+      // columns, local accumulate.
       ctx.set_phase(kPhaseSummaBcastA);
       std::vector<T> a_panel = (t == j) ? a_own : std::vector<T>{};
       const i64 a_rows = d1.size(i), a_cols = d2.size(t);
@@ -193,229 +324,78 @@ SummaAbftOutputT<T> summa_abft_rank(RankCtx& ctx, const SummaAbftConfig& cfg) {
       }
       if (hold_s) {
         // S_j += (sum_i pad(A_it)) * B_tj  ==  sum_i pad_rows(A_it B_tj).
-        gemm_accumulate(to_matrix(asum, d1max, a_cols), b_mat, s_sum);
+        gemm_accumulate(to_matrix(asum, d1max, a_cols), b_mat, out.s_sum);
       }
       if (hold_r) {
-        gemm_accumulate(a_mat, to_matrix(bsum, b_rows, d3max), r_sum);
+        gemm_accumulate(a_mat, to_matrix(bsum, b_rows, d3max), out.r_sum);
       }
       if (is_corner) {
         const std::vector<T> asum_c =
             std::move(my_col.recv(0, fwd_a_tags + static_cast<int>(t)))
-                .take_as<T>();
+                .template take_as<T>();
         const std::vector<T> bsum_c =
             std::move(my_row.recv(0, fwd_b_tags + static_cast<int>(t)))
-                .take_as<T>();
+                .template take_as<T>();
         gemm_accumulate(to_matrix(asum_c, d1max, d2.size(t)),
-                        to_matrix(bsum_c, d2.size(t), d3max), t_sum);
+                        to_matrix(bsum_c, d2.size(t), d3max), out.t_sum);
       }
-    }
-  } catch (const PeerFailedError&) {
-    // A peer died or deviated: abandon the communication schedule (the
-    // deviation cascades through every rank still expecting our messages)
-    // and finish this rank's responsibilities locally — every input block
-    // is a pure function of its global position, so nothing is lost.
-    ctx.abandon();
-    abandoned = true;
-  }
 
-  if (abandoned) {
-    out.own.block = Matrix<T>(d1.size(i), d3.size(j));
-    if (hold_s) s_sum = Matrix<T>(d1max, d3.size(j));
-    if (hold_r) r_sum = Matrix<T>(d1.size(i), d3max);
-    if (is_corner) t_sum = Matrix<T>(d1max, d3max);
-    for (i64 t = 0; t < g; ++t) {
-      const Matrix<T> a_t = regen_block<T>(d1, i, d2, t);
-      const Matrix<T> b_t = regen_block<T>(d2, t, d3, j);
-      gemm_accumulate(a_t, b_t, out.own.block);
-      if (hold_s || is_corner) {
-        Matrix<T> asum_t(d1max, d2.size(t));
-        for (i64 i2 = 0; i2 < g; ++i2) {
-          const Matrix<T> a_i2 = regen_block<T>(d1, i2, d2, t);
-          for (i64 r = 0; r < a_i2.rows(); ++r) {
-            for (i64 c = 0; c < a_i2.cols(); ++c) asum_t(r, c) += a_i2(r, c);
-          }
+      session.boundary(t + 1, [&] {
+        SnapshotT<T> snap;
+        for (const Matrix<T>* m : state) {
+          snap.bufs.emplace_back(m->data(), m->data() + m->size());
         }
-        if (hold_s) gemm_accumulate(asum_t, b_t, s_sum);
-        if (is_corner) {
-          Matrix<T> bsum_t(d2.size(t), d3max);
-          for (i64 j2 = 0; j2 < g; ++j2) {
-            const Matrix<T> b_j2 = regen_block<T>(d2, t, d3, j2);
-            for (i64 r = 0; r < b_j2.rows(); ++r) {
-              for (i64 c = 0; c < b_j2.cols(); ++c) bsum_t(r, c) += b_j2(r, c);
-            }
-          }
-          gemm_accumulate(asum_t, bsum_t, t_sum);
-        }
-      }
-      if (hold_r) {
-        Matrix<T> bsum_t(d2.size(t), d3max);
-        for (i64 j2 = 0; j2 < g; ++j2) {
-          const Matrix<T> b_j2 = regen_block<T>(d2, t, d3, j2);
-          for (i64 r = 0; r < b_j2.rows(); ++r) {
-            for (i64 c = 0; c < b_j2.cols(); ++c) bsum_t(r, c) += b_j2(r, c);
-          }
-        }
-        gemm_accumulate(a_t, bsum_t, r_sum);
-      }
+        return snap;
+      });
     }
-  }
+  };
 
-  // Export the checksum state before any return path: the runner's
-  // single-error correction pass (summa_abft_correct) intersects these
-  // against the assembled tiles after the machine stops.
-  if (hold_s) out.s_sum = s_sum;
-  if (hold_r) out.r_sum = r_sum;
-  if (is_corner) out.t_sum = t_sum;
-
-  // Agreement: every survivor learns the same failed set.  The recovery
-  // world comm leases from the recovery cursor, which abandonment does not
-  // touch, so clean and abandoned survivors agree on its tags.
-  ctx.set_phase(kPhaseAbftShrink);
-  const coll::Comm rec_world =
-      coll::Comm::recovery(ctx, world_group(ctx.nprocs()));
-  const coll::ShrinkResult agreed =
-      coll::shrink(rec_world, cfg.max_failures, abandoned);
-  out.abandoned = abandoned;
-  out.failed = agreed.failed;
-  if (agreed.failed.empty()) return out;
-  if (agreed.failed.size() > 1) {
-    std::ostringstream msg;
-    msg << "checksum SUMMA can reconstruct at most one failed rank; lost "
-        << agreed.failed.size() << " ranks";
-    throw Error(msg.str());
-  }
-
-  // Reconstruction: subtract the survivors' tiles from the checksum that
-  // covers the dead tile.  Which checksum depends on where the dead rank
-  // sat: S_dj unless the dead rank was its host (row 0), then R_0 unless
-  // the dead rank was (0, 0) itself, then the corner total T.
-  ctx.set_phase(kPhaseAbftRecover);
-  const int dead = agreed.failed.front();
-  const i64 di = dead / g, dj = dead % g;
-  enum class Pad { kRows, kCols, kBoth } pad_mode;
-  int host = -1;
-  std::vector<int> contributors;
-  const Matrix<T>* checksum = nullptr;
-  if (di != 0) {
-    pad_mode = Pad::kRows;
-    host = rank_of(0, dj, g);
-    for (i64 i2 = 0; i2 < g; ++i2) {
-      if (const int r = rank_of(i2, dj, g); r != dead) contributors.push_back(r);
-    }
-    checksum = &s_sum;
-  } else if (dj != 0) {
-    pad_mode = Pad::kCols;
-    host = rank_of(0, 0, g);
-    for (i64 j2 = 0; j2 < g; ++j2) {
-      if (const int r = rank_of(0, j2, g); r != dead) contributors.push_back(r);
-    }
-    checksum = &r_sum;
+  if constexpr (Session::kRollback) {
+    // A failure aborts the round and the machine re-executes from the last
+    // committed epoch: no degraded path, no shrink, no reconstruction.
+    stages();
   } else {
-    pad_mode = Pad::kBoth;
-    host = corner;
-    for (int r = 0; r < ctx.nprocs(); ++r) {
-      if (r != dead) contributors.push_back(r);
+    bool abandoned = false;
+    try {
+      stages();
+    } catch (const PeerFailedError&) {
+      // A peer died or deviated: abandon the communication schedule (the
+      // deviation cascades through every rank still expecting our messages)
+      // and finish this rank's responsibilities locally.
+      ctx.abandon();
+      abandoned = true;
     }
-    checksum = &t_sum;
-  }
-  // Every survivor constructs the contributor comm — non-members included —
-  // so the recovery lease sequence stays uniform; only members reduce.
-  const coll::Comm rec_contrib = coll::Comm::recovery(ctx, contributors);
-  if (!rec_contrib.member()) {
-    return out;  // this survivor holds no piece of the covering checksum
-  }
-  const i64 pad_r = (pad_mode == Pad::kCols) ? d1.size(0) : d1max;
-  const i64 pad_c = (pad_mode == Pad::kRows) ? d3.size(dj) : d3max;
-  const std::vector<T> survivor_sum =
-      coll::reduce(rec_contrib, rec_contrib.index_of(host),
-                   pad_matrix(out.own.block, pad_r, pad_c));
-  if (ctx.rank() == host) {
-    RecoveredBlock2DT<T> rec;
-    rec.rank = dead;
-    rec.out.row0 = d1.start(di);
-    rec.out.col0 = d3.start(dj);
-    rec.out.block = Matrix<T>(d1.size(di), d3.size(dj));
-    for (i64 r = 0; r < rec.out.block.rows(); ++r) {
-      for (i64 c = 0; c < rec.out.block.cols(); ++c) {
-        rec.out.block(r, c) = (*checksum)(r, c) -
-                              survivor_sum[static_cast<std::size_t>(
-                                  r * pad_c + c)];
-      }
-    }
-    out.recovered.push_back(std::move(rec));
+    if (abandoned) summa_abft_complete_locally<T>(cfg, i, j, out);
+    summa_abft_recover<T>(ctx, cfg, out, abandoned);
   }
   return out;
 }
 
-#define CAMB_INSTANTIATE(T)                    \
-  template SummaAbftOutputT<T> summa_abft_rank<T>( \
+template <typename T>
+SummaAbftOutputT<T> summa_abft_rank(RankCtx& ctx, const SummaAbftConfig& cfg) {
+  ckpt::PlainSessionT<T> session(ctx);
+  return summa_abft_body<T>(session, cfg);
+}
+
+#define CAMB_INSTANTIATE(T)                                 \
+  template SummaAbftOutputT<T> summa_abft_body<T>(          \
+      ckpt::PlainSessionT<T>&, const SummaAbftConfig&);     \
+  template SummaAbftOutputT<T> summa_abft_body<T>(          \
+      ckpt::SessionT<T>&, const SummaAbftConfig&);          \
+  template SummaAbftOutputT<T> summa_abft_rank<T>(          \
       RankCtx&, const SummaAbftConfig&);
 CAMB_FOR_EACH_SCALAR(CAMB_INSTANTIATE)
 #undef CAMB_INSTANTIATE
 
+namespace {
+
+/// The plain-run tail of checksum Algorithm 1: crash agreement, then the
+/// reconstruction of each dead rank's chunk by the survivors of its C fiber.
 template <typename T>
-Grid3dAbftOutputT<T> grid3d_abft_rank(RankCtx& ctx,
-                                      const Grid3dAbftConfig& cfg) {
-  Grid3dConfig base = cfg.base;
-  // Exact scalars keep the plain indexed fill (their sums never round);
-  // floating-point instantiations force the integer-valued pattern.
-  base.integer_inputs = !ScalarTraits<T>::exact;
-  CAMB_CHECK_MSG(base.grid.total() == ctx.nprocs(),
-                 "grid size must equal the machine size");
-  CAMB_CHECK_MSG(cfg.max_failures >= 0, "max_failures must be non-negative");
+void grid3d_abft_recover(RankCtx& ctx, const Grid3dAbftConfig& cfg,
+                         const Grid3dConfig& base, i64 lmax,
+                         Grid3dAbftOutputT<T>& out, bool abandoned) {
   const GridMap map(base.grid);
-  const auto [q1, q2, q3] = map.coords_of(ctx.rank());
-  const Grid3dLayout layout = grid3d_layout(base, ctx.rank());
-  // The C fiber comm for the parity encode (grid3d_rank builds its own grid
-  // comm internally; this one serves the ABFT layer).
-  const coll::Comm c_fiber(ctx, map.fiber(1, q1, q2, q3));
-  i64 lmax = 0;
-  for (i64 c : layout.c_counts) lmax = std::max(lmax, c);
-
-  Grid3dAbftOutputT<T> out;
-  std::vector<T> parity;
-  bool abandoned = false;
-  try {
-    out.own = grid3d_rank<T>(ctx, base);
-    // Encode: every C fiber All-Reduces the parity of its members' padded
-    // chunks, so each member holds X = sum_q2 pad(chunk) (f = 1 redundancy).
-    ctx.set_phase(kPhaseAbftEncode);
-    std::vector<T> padded = out.own.c_data;
-    padded.resize(static_cast<std::size_t>(lmax), ScalarTraits<T>::zero());
-    parity = coll::allreduce(c_fiber, std::move(padded));
-  } catch (const PeerFailedError&) {
-    ctx.abandon();
-    abandoned = true;
-  }
-
-  if (abandoned) {
-    // Degraded local completion: recompute this rank's full C block (sum
-    // over the q2 axis of regenerated inputs) and derive both the owned
-    // chunk and the fiber parity from it.  Exact because the inputs are
-    // integer-valued.
-    const BlockDist1D d1(base.shape.n1, base.grid.p1),
-        d2(base.shape.n2, base.grid.p2), d3(base.shape.n3, base.grid.p3);
-    Matrix<T> c_full(layout.c.rows, layout.c.cols);
-    for (i64 t = 0; t < base.grid.p2; ++t) {
-      const Matrix<T> a_t = regen_block<T>(d1, q1, d2, t);
-      const Matrix<T> b_t = regen_block<T>(d2, t, d3, q3);
-      gemm_accumulate(a_t, b_t, c_full);
-    }
-    out.own.c_chunk = layout.c;
-    out.own.c_data.assign(
-        c_full.data() + layout.c.flat_start,
-        c_full.data() + layout.c.flat_start + layout.c.flat_size);
-    parity.assign(static_cast<std::size_t>(lmax), ScalarTraits<T>::zero());
-    const BlockDist1D flat(layout.c.block_size(), base.grid.p2);
-    for (i64 m = 0; m < base.grid.p2; ++m) {
-      for (i64 k = 0; k < flat.size(m); ++k) {
-        parity[static_cast<std::size_t>(k)] += c_full.data()[flat.start(m) + k];
-      }
-    }
-  }
-
-  out.parity = parity;  // exported for grid3d_abft_correct
-
   ctx.set_phase(kPhaseAbftShrink);
   const coll::Comm rec_world =
       coll::Comm::recovery(ctx, world_group(ctx.nprocs()));
@@ -423,7 +403,7 @@ Grid3dAbftOutputT<T> grid3d_abft_rank(RankCtx& ctx,
       coll::shrink(rec_world, cfg.max_failures, abandoned);
   out.abandoned = abandoned;
   out.failed = agreed.failed;
-  if (agreed.failed.empty()) return out;
+  if (agreed.failed.empty()) return;
 
   // Reconstruction: for each dead rank, the survivors of its C fiber
   // subtract their chunks from the parity.  Dead ranks on distinct fibers
@@ -469,17 +449,115 @@ Grid3dAbftOutputT<T> grid3d_abft_rank(RankCtx& ctx,
       rec.c_data.resize(static_cast<std::size_t>(dead_layout.c.flat_size));
       for (i64 k = 0; k < dead_layout.c.flat_size; ++k) {
         rec.c_data[static_cast<std::size_t>(k)] =
-            parity[static_cast<std::size_t>(k)] -
+            out.parity[static_cast<std::size_t>(k)] -
             survivor_sum[static_cast<std::size_t>(k)];
       }
       out.recovered.push_back(std::move(rec));
     }
   }
+}
+
+}  // namespace
+
+template <typename T, typename Session>
+Grid3dAbftOutputT<T> grid3d_abft_body(Session& session,
+                                      const Grid3dAbftConfig& cfg) {
+  RankCtx& ctx = session.ctx();
+  Grid3dConfig base = cfg.base;
+  // Exact scalars keep the plain indexed fill (their sums never round);
+  // floating-point instantiations force the integer-valued pattern.
+  base.integer_inputs = !ScalarTraits<T>::exact;
+  CAMB_CHECK_MSG(base.grid.total() == session.nprocs(),
+                 "grid size must equal the machine size");
+  CAMB_CHECK_MSG(cfg.max_failures >= 0, "max_failures must be non-negative");
+  const GridMap map(base.grid);
+  const auto [q1, q2, q3] = map.coords_of(session.rank());
+  const Grid3dLayout layout = grid3d_layout(base, session.rank());
+  // The C fiber comm for the parity encode, built before Algorithm 1 builds
+  // its own three fibers.
+  const coll::Comm c_fiber = session.comm(map.fiber(1, q1, q2, q3));
+  i64 lmax = 0;
+  for (i64 c : layout.c_counts) lmax = std::max(lmax, c);
+
+  // Algorithm 1 itself is steps 1-3 (its own boundaries); the parity encode
+  // is step 4, whose snapshot is {C chunk, parity} — Algorithm 1 restores
+  // its chunk from the first buffer.
+  Grid3dAbftOutputT<T> out;
+  const auto run = [&] {
+    out.own = grid3d_body<T>(session, base);
+    if (session.resume_step() < 4) {
+      // Encode: every C fiber All-Reduces the parity of its members' padded
+      // chunks, so each member holds X = sum_q2 pad(chunk) (f = 1
+      // redundancy).
+      ctx.set_phase(kPhaseAbftEncode);
+      std::vector<T> padded = out.own.c_data;
+      padded.resize(static_cast<std::size_t>(lmax), ScalarTraits<T>::zero());
+      out.parity = coll::allreduce(c_fiber, std::move(padded));
+      session.boundary(4, [&] {
+        return snapshot_of<T>({out.own.c_data, out.parity});
+      });
+    } else {
+      out.parity = session.snapshot().bufs.at(1);
+    }
+  };
+
+  if constexpr (Session::kRollback) {
+    // A failure aborts the round and the machine re-executes from the last
+    // committed epoch: no degraded path, no shrink, no reconstruction.
+    run();
+  } else {
+    bool abandoned = false;
+    try {
+      run();
+    } catch (const PeerFailedError&) {
+      ctx.abandon();
+      abandoned = true;
+    }
+    if (abandoned) {
+      // Degraded local completion: recompute this rank's full C block (sum
+      // over the q2 axis of regenerated inputs) and derive both the owned
+      // chunk and the fiber parity from it.  Exact because the inputs are
+      // integer-valued.
+      const BlockDist1D d1(base.shape.n1, base.grid.p1),
+          d2(base.shape.n2, base.grid.p2), d3(base.shape.n3, base.grid.p3);
+      Matrix<T> c_full(layout.c.rows, layout.c.cols);
+      for (i64 t = 0; t < base.grid.p2; ++t) {
+        const Matrix<T> a_t = regen_block<T>(d1, q1, d2, t);
+        const Matrix<T> b_t = regen_block<T>(d2, t, d3, q3);
+        gemm_accumulate(a_t, b_t, c_full);
+      }
+      out.own.c_chunk = layout.c;
+      out.own.c_data.assign(
+          c_full.data() + layout.c.flat_start,
+          c_full.data() + layout.c.flat_start + layout.c.flat_size);
+      out.parity.assign(static_cast<std::size_t>(lmax),
+                        ScalarTraits<T>::zero());
+      const BlockDist1D flat(layout.c.block_size(), base.grid.p2);
+      for (i64 m = 0; m < base.grid.p2; ++m) {
+        for (i64 k = 0; k < flat.size(m); ++k) {
+          out.parity[static_cast<std::size_t>(k)] +=
+              c_full.data()[flat.start(m) + k];
+        }
+      }
+    }
+    grid3d_abft_recover<T>(ctx, cfg, base, lmax, out, abandoned);
+  }
   return out;
 }
 
-#define CAMB_INSTANTIATE(T)                      \
-  template Grid3dAbftOutputT<T> grid3d_abft_rank<T>( \
+template <typename T>
+Grid3dAbftOutputT<T> grid3d_abft_rank(RankCtx& ctx,
+                                      const Grid3dAbftConfig& cfg) {
+  ckpt::PlainSessionT<T> session(ctx);
+  return grid3d_abft_body<T>(session, cfg);
+}
+
+#define CAMB_INSTANTIATE(T)                                 \
+  template Grid3dAbftOutputT<T> grid3d_abft_body<T>(        \
+      ckpt::PlainSessionT<T>&, const Grid3dAbftConfig&);    \
+  template Grid3dAbftOutputT<T> grid3d_abft_body<T>(        \
+      ckpt::SessionT<T>&, const Grid3dAbftConfig&);         \
+  template Grid3dAbftOutputT<T> grid3d_abft_rank<T>(        \
       RankCtx&, const Grid3dAbftConfig&);
 CAMB_FOR_EACH_SCALAR(CAMB_INSTANTIATE)
 #undef CAMB_INSTANTIATE
@@ -508,154 +586,6 @@ i64 summa_abft_predicted_recv_words(const SummaAbftConfig& cfg, int rank) {
   return words;
 }
 
-template <typename T>
-SummaAbftOutputT<T> summa_abft_ckpt_rank(ckpt::SessionT<T>& session,
-                                         const SummaAbftConfig& cfg) {
-  RankCtx& ctx = session.ctx();
-  const i64 g = cfg.base.g;
-  CAMB_CHECK_MSG(g * g == session.nprocs(), "SUMMA machine size must be g*g");
-  CAMB_CHECK_MSG(g >= 2, "checksum-augmented SUMMA needs grid edge g >= 2");
-  const int me = session.rank();
-  const i64 i = me / g;
-  const i64 j = me % g;
-  const BlockDist1D d1(cfg.base.shape.n1, g), d2(cfg.base.shape.n2, g),
-      d3(cfg.base.shape.n3, g);
-  const i64 d1max = d1.size(0);
-  const i64 d3max = d3.size(0);
-
-  std::vector<T> a_own = abft_fill<T>(full_block(d1, i, d2, j));
-  std::vector<T> b_own = abft_fill<T>(full_block(d2, i, d3, j));
-
-  SummaAbftOutputT<T> out;
-  out.own.row0 = d1.start(i);
-  out.own.col0 = d3.start(j);
-  out.own.block = Matrix<T>(d1.size(i), d3.size(j));
-
-  const bool hold_s = (i == 0);
-  const bool hold_r = (j == 0);
-  const bool is_corner = (i == g - 1 && j == g - 1);
-  Matrix<T> s_sum, r_sum, t_sum;
-  if (hold_s) s_sum = Matrix<T>(d1max, d3.size(j));
-  if (hold_r) r_sum = Matrix<T>(d1.size(i), d3max);
-  if (is_corner) t_sum = Matrix<T>(d1max, d3max);
-
-  // Same fiber lease budget as summa_abft_rank; the twin builds its own two
-  // fibers on the session (every rank leases in the same row-then-column
-  // order, so the bases agree machine-wide).
-  const int fiber_blocks = std::max(coll::Comm::kDefaultTagBlocks,
-                                    static_cast<int>(2 * g) + 2);
-  std::vector<int> row_members, col_members;
-  for (i64 v = 0; v < g; ++v) {
-    row_members.push_back(static_cast<int>(i * g + v));
-    col_members.push_back(static_cast<int>(v * g + j));
-  }
-  const coll::Comm my_row = session.comm(row_members, fiber_blocks);
-  const coll::Comm my_col = session.comm(col_members, fiber_blocks);
-  const int fwd_a_tags = (j == g - 1) ? my_col.take_tag_block() : 0;
-  const int fwd_b_tags = (i == g - 1) ? my_row.take_tag_block() : 0;
-  CAMB_CHECK_MSG(g < kTagBlockWidth, "grid edge too large for one tag block");
-
-  const i64 t0 = session.resume_step();
-  if (session.restored()) {
-    const SnapshotT<T>& snap = session.snapshot();
-    std::size_t b = 0;
-    std::copy(snap.bufs.at(b).begin(), snap.bufs.at(b).end(),
-              out.own.block.data());
-    ++b;
-    if (hold_s) {
-      std::copy(snap.bufs.at(b).begin(), snap.bufs.at(b).end(), s_sum.data());
-      ++b;
-    }
-    if (hold_r) {
-      std::copy(snap.bufs.at(b).begin(), snap.bufs.at(b).end(), r_sum.data());
-      ++b;
-    }
-    if (is_corner) {
-      std::copy(snap.bufs.at(b).begin(), snap.bufs.at(b).end(), t_sum.data());
-      ++b;
-    }
-    CAMB_CHECK(b == snap.bufs.size());
-  }
-
-  for (i64 t = t0; t < g; ++t) {
-    // Base SUMMA stage (identical to summa_abft_rank's main loop).
-    ctx.set_phase(kPhaseSummaBcastA);
-    std::vector<T> a_panel = (t == j) ? a_own : std::vector<T>{};
-    const i64 a_rows = d1.size(i), a_cols = d2.size(t);
-    coll::bcast(my_row, static_cast<int>(t), a_panel, a_rows * a_cols,
-                cfg.base.bcast, cfg.base.bcast_segments);
-
-    ctx.set_phase(kPhaseSummaBcastB);
-    std::vector<T> b_panel = (t == i) ? b_own : std::vector<T>{};
-    const i64 b_rows = d2.size(t), b_cols = d3.size(j);
-    coll::bcast(my_col, static_cast<int>(t), b_panel, b_rows * b_cols,
-                cfg.base.bcast, cfg.base.bcast_segments);
-
-    ctx.set_phase(kPhaseSummaGemm);
-    const Matrix<T> a_mat = to_matrix(a_panel, a_rows, a_cols);
-    const Matrix<T> b_mat = to_matrix(b_panel, b_rows, b_cols);
-    gemm_accumulate(a_mat, b_mat, out.own.block);
-
-    ctx.set_phase(kPhaseAbftEncode);
-    std::vector<T> asum =
-        coll::reduce(my_col, 0, pad_rows(a_panel, a_rows, a_cols, d1max));
-    std::vector<T> bsum =
-        coll::reduce(my_row, 0, pad_cols(b_panel, b_rows, b_cols, d3max));
-    if (i == 0 && j == g - 1) {
-      my_col.send(static_cast<int>(g - 1), fwd_a_tags + static_cast<int>(t),
-                  Buffer::pack<T>(asum));
-    }
-    if (i == g - 1 && j == 0) {
-      my_row.send(static_cast<int>(g - 1), fwd_b_tags + static_cast<int>(t),
-                  Buffer::pack<T>(bsum));
-    }
-    if (hold_s) {
-      gemm_accumulate(to_matrix(asum, d1max, a_cols), b_mat, s_sum);
-    }
-    if (hold_r) {
-      gemm_accumulate(a_mat, to_matrix(bsum, b_rows, d3max), r_sum);
-    }
-    if (is_corner) {
-      const std::vector<T> asum_c =
-          std::move(my_col.recv(0, fwd_a_tags + static_cast<int>(t)))
-              .template take_as<T>();
-      const std::vector<T> bsum_c =
-          std::move(my_row.recv(0, fwd_b_tags + static_cast<int>(t)))
-              .template take_as<T>();
-      gemm_accumulate(to_matrix(asum_c, d1max, d2.size(t)),
-                      to_matrix(bsum_c, d2.size(t), d3max), t_sum);
-    }
-
-    session.boundary(t + 1, [&] {
-      SnapshotT<T> snap;
-      snap.bufs.emplace_back(out.own.block.data(),
-                             out.own.block.data() + out.own.block.size());
-      if (hold_s) {
-        snap.bufs.emplace_back(s_sum.data(), s_sum.data() + s_sum.size());
-      }
-      if (hold_r) {
-        snap.bufs.emplace_back(r_sum.data(), r_sum.data() + r_sum.size());
-      }
-      if (is_corner) {
-        snap.bufs.emplace_back(t_sum.data(), t_sum.data() + t_sum.size());
-      }
-      return snap;
-    });
-  }
-  // No shrink / reconstruction: under rollback a crash aborts the round and
-  // the machine re-executes from the last committed epoch instead.
-  if (hold_s) out.s_sum = s_sum;
-  if (hold_r) out.r_sum = r_sum;
-  if (is_corner) out.t_sum = t_sum;
-  return out;
-}
-
-#define CAMB_INSTANTIATE(T)                                \
-  template SummaAbftOutputT<T> summa_abft_ckpt_rank<T>(    \
-      ckpt::SessionT<T>&, const SummaAbftConfig&);
-CAMB_FOR_EACH_SCALAR(CAMB_INSTANTIATE)
-#undef CAMB_INSTANTIATE
-
 i64 summa_abft_ckpt_steps(const SummaAbftConfig& cfg) { return cfg.base.g; }
 
 i64 summa_abft_ckpt_snapshot_words(const SummaAbftConfig& cfg, int logical,
@@ -678,105 +608,6 @@ i64 summa_abft_ckpt_base_recv_words(const SummaAbftConfig& cfg, int rank) {
              static_cast<int>(cfg.base.g * cfg.base.g), cfg.max_failures);
 }
 
-template <typename T>
-Grid3dAbftOutputT<T> grid3d_abft_ckpt_rank(ckpt::SessionT<T>& session,
-                                           const Grid3dAbftConfig& cfg) {
-  RankCtx& ctx = session.ctx();
-  Grid3dConfig base = cfg.base;
-  base.integer_inputs = !ScalarTraits<T>::exact;
-  CAMB_CHECK_MSG(base.grid.total() == session.nprocs(),
-                 "grid size must equal the logical machine size");
-  const int me = session.rank();
-  const GridMap map(base.grid);
-  const auto [q1, q2, q3] = map.coords_of(me);
-  const Grid3dLayout layout = grid3d_layout(base, me);
-  i64 lmax = 0;
-  for (i64 c : layout.c_counts) lmax = std::max(lmax, c);
-
-  // The parity fiber first (mirroring grid3d_abft_rank, which builds it
-  // before the grid comm), then the three algorithm fibers in grid3d's
-  // axis order — the same lease sequence on every rank.
-  const coll::Comm parity_fiber = session.comm(map.fiber(1, q1, q2, q3));
-  const coll::Comm fiber_b = session.comm(map.fiber(0, q1, q2, q3));
-  const coll::Comm fiber_c = session.comm(map.fiber(1, q1, q2, q3));
-  const coll::Comm fiber_a = session.comm(map.fiber(2, q1, q2, q3));
-
-  const i64 t0 = session.resume_step();
-  std::vector<T> a_flat, b_flat;
-  Grid3dAbftOutputT<T> out;
-  out.own.c_chunk = layout.c;
-  std::vector<T> parity;
-  if (session.restored()) {
-    const SnapshotT<T>& snap = session.snapshot();
-    if (t0 == 1) {
-      a_flat = snap.bufs.at(0);
-    } else if (t0 == 2) {
-      a_flat = snap.bufs.at(0);
-      b_flat = snap.bufs.at(1);
-    } else if (t0 == 3) {
-      out.own.c_data = snap.bufs.at(0);
-    } else {
-      CAMB_CHECK(t0 == 4);
-      out.own.c_data = snap.bufs.at(0);
-      parity = snap.bufs.at(1);
-    }
-  }
-
-  for (i64 step = t0; step < 4; ++step) {
-    if (step == 0) {
-      ctx.set_phase(kPhaseAllgatherA);
-      const camb::WorkingSet a_ws(ctx, layout.a.block_size());
-      a_flat = coll::allgather(fiber_a, layout.a_counts,
-                               abft_fill<T>(layout.a), base.allgather);
-    } else if (step == 1) {
-      ctx.set_phase(kPhaseAllgatherB);
-      const camb::WorkingSet b_ws(ctx, layout.b.block_size());
-      b_flat = coll::allgather(fiber_b, layout.b_counts,
-                               abft_fill<T>(layout.b), base.allgather);
-    } else if (step == 2) {
-      ctx.set_phase(kPhaseLocalGemm);
-      const camb::WorkingSet d_ws(ctx, layout.c.block_size());
-      Matrix<T> a_block(layout.a.rows, layout.a.cols);
-      std::copy(a_flat.begin(), a_flat.end(), a_block.data());
-      Matrix<T> b_block(layout.b.rows, layout.b.cols);
-      std::copy(b_flat.begin(), b_flat.end(), b_block.data());
-      const Matrix<T> d_block = gemm(a_block, b_block);
-      ctx.set_phase(kPhaseReduceScatterC);
-      std::vector<T> d_flat(d_block.data(), d_block.data() + d_block.size());
-      out.own.c_data = coll::reduce_scatter(fiber_c, layout.c_counts, d_flat,
-                                            base.reduce_scatter);
-      CAMB_CHECK(static_cast<i64>(out.own.c_data.size()) ==
-                 layout.c.flat_size);
-    } else {
-      ctx.set_phase(kPhaseAbftEncode);
-      std::vector<T> padded = out.own.c_data;
-      padded.resize(static_cast<std::size_t>(lmax), ScalarTraits<T>::zero());
-      parity = coll::allreduce(parity_fiber, std::move(padded));
-    }
-    session.boundary(step + 1, [&] {
-      SnapshotT<T> snap;
-      if (step == 0) {
-        snap.bufs = {a_flat};
-      } else if (step == 1) {
-        snap.bufs = {a_flat, b_flat};
-      } else if (step == 2) {
-        snap.bufs = {out.own.c_data};
-      } else {
-        snap.bufs = {out.own.c_data, parity};
-      }
-      return snap;
-    });
-  }
-  out.parity = parity;
-  return out;
-}
-
-#define CAMB_INSTANTIATE(T)                                \
-  template Grid3dAbftOutputT<T> grid3d_abft_ckpt_rank<T>(  \
-      ckpt::SessionT<T>&, const Grid3dAbftConfig&);
-CAMB_FOR_EACH_SCALAR(CAMB_INSTANTIATE)
-#undef CAMB_INSTANTIATE
-
 i64 grid3d_abft_ckpt_steps(const Grid3dAbftConfig& cfg) {
   (void)cfg;
   return 4;
@@ -784,12 +615,9 @@ i64 grid3d_abft_ckpt_steps(const Grid3dAbftConfig& cfg) {
 
 i64 grid3d_abft_ckpt_snapshot_words(const Grid3dAbftConfig& cfg, int logical,
                                     i64 step) {
+  // Steps 1-3 are Algorithm 1's; step 4 adds the fiber parity.
+  if (step < 4) return grid3d_ckpt_snapshot_words(cfg.base, logical, step);
   const Grid3dLayout layout = grid3d_layout(cfg.base, logical);
-  if (step == 1) return snapshot_wire_words({layout.a.block_size()});
-  if (step == 2) {
-    return snapshot_wire_words({layout.a.block_size(), layout.b.block_size()});
-  }
-  if (step == 3) return snapshot_wire_words({layout.c.flat_size});
   i64 lmax = 0;
   for (i64 c : layout.c_counts) lmax = std::max(lmax, c);
   return snapshot_wire_words({layout.c.flat_size, lmax});

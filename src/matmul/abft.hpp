@@ -107,6 +107,17 @@ using Grid3dAbftOutput = Grid3dAbftOutputT<double>;
 /// (i64) use the plain indexed fill — their arithmetic never rounds, so the
 /// checksums are bit-exact without the integer-valued input workaround the
 /// floating-point instantiations still require.
+///
+/// One body for either session (collectives/rollback.hpp).  On a plain
+/// session a failure takes the degraded-local path, then the shrink
+/// agreement and the reconstruction run.  Under ckpt::SessionT the body
+/// commits after every stage (tile plus held checksums) and a failure
+/// instead aborts the round for rollback, so `recovered` stays empty.
+template <typename T, typename Session>
+SummaAbftOutputT<T> summa_abft_body(Session& session,
+                                    const SummaAbftConfig& cfg);
+
+/// summa_abft_body on a plain session.
 template <typename T = double>
 SummaAbftOutputT<T> summa_abft_rank(RankCtx& ctx, const SummaAbftConfig& cfg);
 
@@ -117,6 +128,14 @@ SummaAbftOutputT<T> summa_abft_rank(RankCtx& ctx, const SummaAbftConfig& cfg);
 /// member holds X (f = 1 redundancy per fiber).  A dead rank's chunk is
 /// X minus the surviving members' chunks; dead ranks on distinct fibers are
 /// recovered independently.
+///
+/// One body for either session, like summa_abft_body: Algorithm 1's three
+/// boundaries, then one after the parity encode.
+template <typename T, typename Session>
+Grid3dAbftOutputT<T> grid3d_abft_body(Session& session,
+                                      const Grid3dAbftConfig& cfg);
+
+/// grid3d_abft_body on a plain session.
 template <typename T = double>
 Grid3dAbftOutputT<T> grid3d_abft_rank(RankCtx& ctx,
                                       const Grid3dAbftConfig& cfg);
@@ -128,17 +147,8 @@ Grid3dAbftOutputT<T> grid3d_abft_rank(RankCtx& ctx,
 i64 summa_abft_predicted_recv_words(const SummaAbftConfig& cfg, int rank);
 i64 grid3d_abft_predicted_recv_words(const Grid3dAbftConfig& cfg, int rank);
 
-/// Checkpointable twins: the base loop plus the checksum encode, with epoch
-/// boundaries — but no shrink/degraded path.  Under rollback recovery a
-/// failure aborts the round and the harness re-executes, so the ABFT
-/// reconstruction machinery is never entered (recovered stays empty).
-template <typename T>
-SummaAbftOutputT<T> summa_abft_ckpt_rank(ckpt::SessionT<T>& session,
-                                         const SummaAbftConfig& cfg);
-template <typename T>
-Grid3dAbftOutputT<T> grid3d_abft_ckpt_rank(ckpt::SessionT<T>& session,
-                                       const Grid3dAbftConfig& cfg);
-
+/// Boundary steps the bodies announce, and the wire words of logical rank
+/// `logical`'s snapshot at boundary `step`.
 i64 summa_abft_ckpt_steps(const SummaAbftConfig& cfg);
 i64 summa_abft_ckpt_snapshot_words(const SummaAbftConfig& cfg, int logical,
                                    i64 step);
@@ -146,8 +156,9 @@ i64 grid3d_abft_ckpt_steps(const Grid3dAbftConfig& cfg);
 i64 grid3d_abft_ckpt_snapshot_words(const Grid3dAbftConfig& cfg, int logical,
                                     i64 step);
 
-/// The twins' fault-free prediction: the ABFT prediction without the shrink
-/// agreement (rollback replaces it with its own flood, costed separately).
+/// The fault-free data prediction: the ABFT prediction without the shrink
+/// agreement, whose fixed 8-byte mask words the runner accounts as control
+/// traffic (rollback replaces it with its own flood, costed separately).
 i64 summa_abft_ckpt_base_recv_words(const SummaAbftConfig& cfg, int rank);
 i64 grid3d_abft_ckpt_base_recv_words(const Grid3dAbftConfig& cfg, int rank);
 

@@ -2,7 +2,6 @@
 
 #include "collectives/bcast.hpp"
 #include "collectives/coll_cost.hpp"
-#include "collectives/grid_comm.hpp"
 #include "collectives/reduce.hpp"
 #include "matmul/local_gemm.hpp"
 #include "util/error.hpp"
@@ -22,18 +21,6 @@ Coords25d coords_of(int rank, i64 g) {
   return {(r / g) % g, r % g, r / (g * g)};
 }
 
-BlockChunk full_block(const BlockDist1D& rows, i64 ri, const BlockDist1D& cols,
-                      i64 ci) {
-  BlockChunk chunk;
-  chunk.row0 = rows.start(ri);
-  chunk.col0 = cols.start(ci);
-  chunk.rows = rows.size(ri);
-  chunk.cols = cols.size(ci);
-  chunk.flat_start = 0;
-  chunk.flat_size = chunk.rows * chunk.cols;
-  return chunk;
-}
-
 void validate(const Alg25dConfig& cfg, int nprocs) {
   CAMB_CHECK_MSG(cfg.g >= 1 && cfg.c >= 1, "grid dimensions must be >= 1");
   CAMB_CHECK_MSG(cfg.g % cfg.c == 0, "2.5D requires c | g");
@@ -41,149 +28,27 @@ void validate(const Alg25dConfig& cfg, int nprocs) {
                  "machine size must equal g*g*c");
 }
 
-}  // namespace
-
-template <typename T>
-std::vector<T> alg25d_core(RankCtx& ctx, const Alg25dConfig& cfg, i64 i, i64 j,
-                           i64 l, const coll::Comm& depth,
-                           const coll::Comm& my_row, const coll::Comm& my_col,
-                           std::vector<T> a_held, std::vector<T> b_held) {
+/// Replicate, skew, the layer's w Cannon steps, and the depth reduce under a
+/// session, with a boundary after every Cannon step (the held A/B blocks
+/// plus the C partial).  Returns the layer sum on layer 0, empty elsewhere.
+template <typename T, typename Session>
+std::vector<T> alg25d_steps(Session& session, const Alg25dConfig& cfg, i64 i,
+                            i64 j, i64 l, const coll::Comm& depth,
+                            const coll::Comm& my_row, const coll::Comm& my_col,
+                            std::vector<T> a_held, std::vector<T> b_held) {
+  RankCtx& ctx = session.ctx();
   const i64 g = cfg.g, c = cfg.c;
   const i64 w = g / c;  // Cannon steps per layer
   const BlockDist1D d1(cfg.shape.n1, g), d2(cfg.shape.n2, g),
       d3(cfg.shape.n3, g);
-
-  // 1. Replicate both inputs along the depth fiber.
-  ctx.set_phase(kPhase25dReplicate);
-  coll::bcast(depth, 0, a_held, d1.size(i) * d2.size(j));
-  coll::bcast(depth, 0, b_held, d2.size(i) * d3.size(j));
-
-  // 2. Initial skew: layer l starts at k-offset l*w, so rank (i, j, l) must
-  // hold A_{i, s0} and B_{s0, j} with s0 = (i + j + l*w) mod g.  One tag
-  // block per fiber covers the skew plus every shift round.
-  ctx.set_phase(kPhase25dSkew);
+  // One tag block per fiber covers the skew plus every shift round.
   const int row_tags = g > 1 ? my_row.take_tag_block() : 0;
   const int col_tags = g > 1 ? my_col.take_tag_block() : 0;
   CAMB_CHECK_MSG(w < kTagBlockWidth, "grid too large for one tag block");
+  // Layer l starts at k-offset l*w: rank (i, j, l) works on k-blocks
+  // s0 .. s0 + w - 1.
   const i64 s0 = (i + j + l * w) % g;
-  if (g > 1) {
-    const i64 a_dst_col = (j - i - l * w % g + 2 * g) % g;
-    my_row.send(static_cast<int>(a_dst_col), row_tags,
-                Buffer::adopt(std::move(a_held)));
-    a_held = std::move(my_row.recv(static_cast<int>(s0), row_tags))
-                 .take_as<T>();
-    const i64 b_dst_row = (i - j - l * w % g + 2 * g) % g;
-    my_col.send(static_cast<int>(b_dst_row), col_tags,
-                Buffer::adopt(std::move(b_held)));
-    b_held = std::move(my_col.recv(static_cast<int>(s0), col_tags))
-                 .take_as<T>();
-  }
 
-  // 3. w Cannon steps within the layer, covering k-blocks s0 .. s0 + w - 1.
-  Matrix<T> c_partial(d1.size(i), d3.size(j));
-  for (i64 t = 0; t < w; ++t) {
-    const i64 s = (s0 + t) % g;
-    ctx.set_phase(kPhase25dGemm);
-    Matrix<T> a_mat(d1.size(i), d2.size(s));
-    CAMB_CHECK(static_cast<i64>(a_held.size()) == a_mat.size());
-    std::copy(a_held.begin(), a_held.end(), a_mat.data());
-    Matrix<T> b_mat(d2.size(s), d3.size(j));
-    CAMB_CHECK(static_cast<i64>(b_held.size()) == b_mat.size());
-    std::copy(b_held.begin(), b_held.end(), b_mat.data());
-    gemm_accumulate(a_mat, b_mat, c_partial);
-
-    if (t + 1 < w && g > 1) {
-      ctx.set_phase(kPhase25dShift);
-      const int off = static_cast<int>(t + 1);
-      my_row.send(static_cast<int>((j - 1 + g) % g), row_tags + off,
-                  Buffer::adopt(std::move(a_held)));
-      a_held = std::move(
-                   my_row.recv(static_cast<int>((j + 1) % g), row_tags + off))
-                   .take_as<T>();
-      my_col.send(static_cast<int>((i - 1 + g) % g), col_tags + off,
-                  Buffer::adopt(std::move(b_held)));
-      b_held = std::move(
-                   my_col.recv(static_cast<int>((i + 1) % g), col_tags + off))
-                   .take_as<T>();
-    }
-  }
-
-  // 4. Sum the layers' partials onto layer 0.
-  ctx.set_phase(kPhase25dReduce);
-  std::vector<T> c_flat(c_partial.data(),
-                        c_partial.data() + c_partial.size());
-  std::vector<T> c_sum = coll::reduce(depth, 0, std::move(c_flat));
-  if (l != 0) c_sum.clear();
-  return c_sum;
-}
-
-template <typename T>
-Block2DOutputT<T> alg25d_rank(RankCtx& ctx, const Alg25dConfig& cfg) {
-  validate(cfg, ctx.nprocs());
-  const i64 g = cfg.g, c = cfg.c;
-  const auto [i, j, l] = coords_of(ctx.rank(), g);
-  const BlockDist1D d1(cfg.shape.n1, g), d2(cfg.shape.n2, g),
-      d3(cfg.shape.n3, g);
-
-  // Layer 0 materializes the single input copy.
-  std::vector<T> a_held, b_held;
-  if (l == 0) {
-    const auto fill = [&](const BlockChunk& chunk) {
-      return cfg.integer_inputs ? fill_chunk_indexed_int<T>(chunk)
-                                : fill_chunk_indexed<T>(chunk);
-    };
-    a_held = fill(full_block(d1, i, d2, j));
-    b_held = fill(full_block(d2, i, d3, j));
-  }
-
-  // Layer-major layout (l * g + i) * g + j is Grid3{c, g, g} with coords
-  // (l, i, j): fiber(0) is the depth fiber (index l), fiber(2) the in-layer
-  // row comm A shifts along (index j), fiber(1) the column comm for B.
-  const coll::GridComm grid25(ctx, Grid3{c, g, g});
-  std::vector<T> c_sum =
-      alg25d_core<T>(ctx, cfg, i, j, l, grid25.fiber(0), grid25.fiber(2),
-                     grid25.fiber(1), std::move(a_held), std::move(b_held));
-
-  Block2DOutputT<T> out;
-  out.row0 = d1.start(i);
-  out.col0 = d3.start(j);
-  if (l == 0) {
-    out.block = Matrix<T>(d1.size(i), d3.size(j));
-    CAMB_CHECK(static_cast<i64>(c_sum.size()) == out.block.size());
-    std::copy(c_sum.begin(), c_sum.end(), out.block.data());
-  }
-  return out;
-}
-
-#define CAMB_INSTANTIATE(T)                                                  \
-  template std::vector<T> alg25d_core<T>(                                    \
-      RankCtx&, const Alg25dConfig&, i64, i64, i64, const coll::Comm&,       \
-      const coll::Comm&, const coll::Comm&, std::vector<T>, std::vector<T>); \
-  template Block2DOutputT<T> alg25d_rank<T>(RankCtx&, const Alg25dConfig&);
-CAMB_FOR_EACH_SCALAR(CAMB_INSTANTIATE)
-#undef CAMB_INSTANTIATE
-
-template <typename T>
-Block2DOutputT<T> alg25d_ckpt_rank(ckpt::SessionT<T>& session,
-                                   const Alg25dConfig& cfg) {
-  RankCtx& ctx = session.ctx();
-  validate(cfg, session.nprocs());
-  const i64 g = cfg.g, c = cfg.c;
-  const i64 w = g / c;
-  const auto [i, j, l] = coords_of(session.rank(), g);
-  const BlockDist1D d1(cfg.shape.n1, g), d2(cfg.shape.n2, g),
-      d3(cfg.shape.n3, g);
-
-  const GridMap map(Grid3{c, g, g});
-  const coll::Comm depth = session.comm(map.fiber(0, l, i, j));
-  const coll::Comm my_col = session.comm(map.fiber(1, l, i, j));
-  const coll::Comm my_row = session.comm(map.fiber(2, l, i, j));
-  const int row_tags = g > 1 ? my_row.take_tag_block() : 0;
-  const int col_tags = g > 1 ? my_col.take_tag_block() : 0;
-  CAMB_CHECK_MSG(w < kTagBlockWidth, "grid too large for one tag block");
-
-  const i64 s0 = (i + j + l * w) % g;
-  std::vector<T> a_held, b_held;
   Matrix<T> c_partial(d1.size(i), d3.size(j));
   const i64 t0 = session.resume_step();
   if (session.restored()) {
@@ -194,14 +59,12 @@ Block2DOutputT<T> alg25d_ckpt_rank(ckpt::SessionT<T>& session,
     CAMB_CHECK(static_cast<i64>(snap.bufs[2].size()) == c_partial.size());
     std::copy(snap.bufs[2].begin(), snap.bufs[2].end(), c_partial.data());
   } else {
-    if (l == 0) {
-      a_held = fill_chunk_indexed<T>(full_block(d1, i, d2, j));
-      b_held = fill_chunk_indexed<T>(full_block(d2, i, d3, j));
-    }
+    // 1. Replicate both inputs along the depth fiber.
     ctx.set_phase(kPhase25dReplicate);
     coll::bcast(depth, 0, a_held, d1.size(i) * d2.size(j));
     coll::bcast(depth, 0, b_held, d2.size(i) * d3.size(j));
 
+    // 2. Initial skew: rank (i, j, l) must hold A_{i, s0} and B_{s0, j}.
     ctx.set_phase(kPhase25dSkew);
     if (g > 1) {
       const i64 a_dst_col = (j - i - l * w % g + 2 * g) % g;
@@ -217,6 +80,7 @@ Block2DOutputT<T> alg25d_ckpt_rank(ckpt::SessionT<T>& session,
     }
   }
 
+  // 3. w Cannon steps within the layer.
   for (i64 t = t0; t < w; ++t) {
     const i64 s = (s0 + t) % g;
     ctx.set_phase(kPhase25dGemm);
@@ -244,17 +108,60 @@ Block2DOutputT<T> alg25d_ckpt_rank(ckpt::SessionT<T>& session,
     }
 
     session.boundary(t + 1, [&] {
-      SnapshotT<T> snap;
-      snap.bufs = {a_held, b_held,
-                   std::vector<T>(c_partial.data(),
-                                  c_partial.data() + c_partial.size())};
-      return snap;
+      return snapshot_of<T>({a_held, b_held,
+                             std::vector<T>(c_partial.data(),
+                                            c_partial.data() +
+                                                c_partial.size())});
     });
   }
 
+  // 4. Sum the layers' partials onto layer 0.
   ctx.set_phase(kPhase25dReduce);
   std::vector<T> c_flat(c_partial.data(), c_partial.data() + c_partial.size());
   std::vector<T> c_sum = coll::reduce(depth, 0, std::move(c_flat));
+  if (l != 0) c_sum.clear();
+  return c_sum;
+}
+
+}  // namespace
+
+template <typename T>
+std::vector<T> alg25d_core(RankCtx& ctx, const Alg25dConfig& cfg, i64 i, i64 j,
+                           i64 l, const coll::Comm& depth,
+                           const coll::Comm& my_row, const coll::Comm& my_col,
+                           std::vector<T> a_held, std::vector<T> b_held) {
+  ckpt::PlainSessionT<T> session(ctx);
+  return alg25d_steps<T>(session, cfg, i, j, l, depth, my_row, my_col,
+                         std::move(a_held), std::move(b_held));
+}
+
+template <typename T, typename Session>
+Block2DOutputT<T> alg25d_body(Session& session, const Alg25dConfig& cfg) {
+  validate(cfg, session.nprocs());
+  const i64 g = cfg.g, c = cfg.c;
+  const auto [i, j, l] = coords_of(session.rank(), g);
+  const BlockDist1D d1(cfg.shape.n1, g), d2(cfg.shape.n2, g),
+      d3(cfg.shape.n3, g);
+
+  // Layer 0 materializes the single input copy.
+  std::vector<T> a_held, b_held;
+  if (l == 0) {
+    a_held =
+        fill_chunk_pattern<T>(full_block(d1, i, d2, j), cfg.integer_inputs);
+    b_held =
+        fill_chunk_pattern<T>(full_block(d2, i, d3, j), cfg.integer_inputs);
+  }
+
+  // Layer-major layout (l * g + i) * g + j is Grid3{c, g, g} with coords
+  // (l, i, j): fiber 0 is the depth fiber (index l), fiber 1 the column comm
+  // B shifts along (index i), fiber 2 the in-layer row comm for A (index j).
+  const GridMap map(Grid3{c, g, g});
+  const coll::Comm depth = session.comm(map.fiber(0, l, i, j));
+  const coll::Comm my_col = session.comm(map.fiber(1, l, i, j));
+  const coll::Comm my_row = session.comm(map.fiber(2, l, i, j));
+  const std::vector<T> c_sum =
+      alg25d_steps<T>(session, cfg, i, j, l, depth, my_row, my_col,
+                      std::move(a_held), std::move(b_held));
 
   Block2DOutputT<T> out;
   out.row0 = d1.start(i);
@@ -267,9 +174,21 @@ Block2DOutputT<T> alg25d_ckpt_rank(ckpt::SessionT<T>& session,
   return out;
 }
 
-#define CAMB_INSTANTIATE(T)                       \
-  template Block2DOutputT<T> alg25d_ckpt_rank<T>( \
-      ckpt::SessionT<T>&, const Alg25dConfig&);
+template <typename T>
+Block2DOutputT<T> alg25d_rank(RankCtx& ctx, const Alg25dConfig& cfg) {
+  ckpt::PlainSessionT<T> session(ctx);
+  return alg25d_body<T>(session, cfg);
+}
+
+#define CAMB_INSTANTIATE(T)                                                  \
+  template std::vector<T> alg25d_core<T>(                                    \
+      RankCtx&, const Alg25dConfig&, i64, i64, i64, const coll::Comm&,       \
+      const coll::Comm&, const coll::Comm&, std::vector<T>, std::vector<T>); \
+  template Block2DOutputT<T> alg25d_body<T>(ckpt::PlainSessionT<T>&,         \
+                                            const Alg25dConfig&);            \
+  template Block2DOutputT<T> alg25d_body<T>(ckpt::SessionT<T>&,              \
+                                            const Alg25dConfig&);            \
+  template Block2DOutputT<T> alg25d_rank<T>(RankCtx&, const Alg25dConfig&);
 CAMB_FOR_EACH_SCALAR(CAMB_INSTANTIATE)
 #undef CAMB_INSTANTIATE
 

@@ -32,16 +32,23 @@ struct Alg25dConfig {
   bool integer_inputs = false;
 };
 
-/// A rank's output: layer-0 ranks return their full C block; other layers
-/// return an empty block (the output lives in one copy, on layer 0).
+/// The one SPMD body for either session.  Layer-0 ranks return their full C
+/// block; other layers return an empty block (the output lives in one copy,
+/// on layer 0).  Under ckpt::SessionT the replicate + skew prologue runs at
+/// epoch 0 only, with one boundary per in-layer Cannon step before the
+/// depth-reduce epilogue.  Instantiated for the CAMB_FOR_EACH_SCALAR set.
+template <typename T, typename Session>
+Block2DOutputT<T> alg25d_body(Session& session, const Alg25dConfig& cfg);
+
+/// alg25d_body on a plain session.
 template <typename T = double>
 Block2DOutputT<T> alg25d_rank(RankCtx& ctx, const Alg25dConfig& cfg);
 
-/// Steps 1–4 for logical position (i, j, l), parameterized by the three
-/// fiber comms and the layer-0 holdings (empty off layer 0), so the same
-/// code runs on the world grid (alg25d_rank) and on a survivors' recovery
-/// grid (the elastic twin).  Returns the reduced C block values (layer 0)
-/// or an empty vector (other layers).
+/// Steps 1–4 of alg25d_body (on a plain session) for logical position
+/// (i, j, l), parameterized by the three fiber comms and the layer-0
+/// holdings (empty off layer 0), so the same code runs on a survivors'
+/// recovery grid (the elastic variant).  Returns the reduced C block values
+/// (layer 0) or an empty vector (other layers).
 template <typename T>
 std::vector<T> alg25d_core(RankCtx& ctx, const Alg25dConfig& cfg, i64 i, i64 j,
                            i64 l, const coll::Comm& depth,
@@ -51,12 +58,8 @@ std::vector<T> alg25d_core(RankCtx& ctx, const Alg25dConfig& cfg, i64 i, i64 j,
 /// Exact predicted received words for `rank`.
 i64 alg25d_predicted_recv_words(const Alg25dConfig& cfg, int rank);
 
-/// Checkpointable twin: replicate + skew prologue at epoch 0 only, one
-/// boundary per in-layer Cannon step, depth-reduce epilogue.
-template <typename T>
-Block2DOutputT<T> alg25d_ckpt_rank(ckpt::SessionT<T>& session,
-                                   const Alg25dConfig& cfg);
-
+/// Boundary steps alg25d_body announces, and the wire words of logical rank
+/// `logical`'s snapshot at boundary `step`.
 i64 alg25d_ckpt_steps(const Alg25dConfig& cfg);
 i64 alg25d_ckpt_snapshot_words(const Alg25dConfig& cfg, int logical, i64 step);
 

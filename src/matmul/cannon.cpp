@@ -1,34 +1,18 @@
 #include "matmul/cannon.hpp"
 
-#include "collectives/grid_comm.hpp"
 #include "matmul/local_gemm.hpp"
 #include "util/error.hpp"
 #include "util/scalar.hpp"
 
 namespace camb::mm {
 
-namespace {
-
-BlockChunk full_block(const BlockDist1D& rows, i64 ri, const BlockDist1D& cols,
-                      i64 ci) {
-  BlockChunk chunk;
-  chunk.row0 = rows.start(ri);
-  chunk.col0 = cols.start(ci);
-  chunk.rows = rows.size(ri);
-  chunk.cols = cols.size(ci);
-  chunk.flat_start = 0;
-  chunk.flat_size = chunk.rows * chunk.cols;
-  return chunk;
-}
-
-}  // namespace
-
-template <typename T>
-Block2DOutputT<T> cannon_rank(RankCtx& ctx, const CannonConfig& cfg) {
+template <typename T, typename Session>
+Block2DOutputT<T> cannon_body(Session& session, const CannonConfig& cfg) {
+  RankCtx& ctx = session.ctx();
   const i64 g = cfg.g;
-  CAMB_CHECK_MSG(g * g == ctx.nprocs(), "Cannon machine size must be g*g");
-  const i64 i = ctx.rank() / g;
-  const i64 j = ctx.rank() % g;
+  CAMB_CHECK_MSG(g * g == session.nprocs(), "Cannon machine size must be g*g");
+  const i64 i = session.rank() / g;
+  const i64 j = session.rank() % g;
   const BlockDist1D d1(cfg.shape.n1, g), d2(cfg.shape.n2, g),
       d3(cfg.shape.n3, g);
 
@@ -39,90 +23,9 @@ Block2DOutputT<T> cannon_rank(RankCtx& ctx, const CannonConfig& cfg) {
   // A moves along this rank's row fiber (indices there are column numbers),
   // B along its column fiber.  One tag block per fiber covers the skew plus
   // every shift round: 2g tags, far below the block width.
-  const coll::GridComm grid(ctx, Grid3{g, g, 1});
-  const coll::Comm& my_row = grid.fiber(1);
-  const coll::Comm& my_col = grid.fiber(0);
-  const int row_tags = g > 1 ? my_row.take_tag_block() : 0;
-  const int col_tags = g > 1 ? my_col.take_tag_block() : 0;
-  CAMB_CHECK_MSG(2 * g < kTagBlockWidth, "grid too large for one tag block");
-
-  // Initial skew: A_{ij} moves to (i, j - i); afterwards rank (i, j) holds
-  // A_{i, (i + j) mod g}.  Likewise B_{ij} moves to (i - j, j).
-  ctx.set_phase(kPhaseCannonSkew);
-  if (g > 1) {
-    my_row.send(static_cast<int>((j - i % g + g) % g), row_tags,
-                Buffer::adopt(std::move(a_held)));
-    a_held = std::move(my_row.recv(static_cast<int>((j + i) % g), row_tags))
-                 .take_as<T>();
-    my_col.send(static_cast<int>((i - j % g + g) % g), col_tags,
-                Buffer::adopt(std::move(b_held)));
-    b_held = std::move(my_col.recv(static_cast<int>((i + j) % g), col_tags))
-                 .take_as<T>();
-  }
-
-  Block2DOutputT<T> out;
-  out.row0 = d1.start(i);
-  out.col0 = d3.start(j);
-  out.block = Matrix<T>(d1.size(i), d3.size(j));
-
-  for (i64 t = 0; t < g; ++t) {
-    // After the skew and t shifts, the held k-block index is (i + j + t).
-    const i64 s = (i + j + t) % g;
-    ctx.set_phase(kPhaseCannonGemm);
-    Matrix<T> a_mat(d1.size(i), d2.size(s));
-    CAMB_CHECK(static_cast<i64>(a_held.size()) == a_mat.size());
-    std::copy(a_held.begin(), a_held.end(), a_mat.data());
-    Matrix<T> b_mat(d2.size(s), d3.size(j));
-    CAMB_CHECK(static_cast<i64>(b_held.size()) == b_mat.size());
-    std::copy(b_held.begin(), b_held.end(), b_mat.data());
-    gemm_accumulate(a_mat, b_mat, out.block);
-
-    if (t + 1 < g && g > 1) {
-      ctx.set_phase(kPhaseCannonShift);
-      const int off = static_cast<int>(t + 1);
-      // Shift A left by one (to column j-1), B up by one (to row i-1).
-      my_row.send(static_cast<int>((j - 1 + g) % g), row_tags + off,
-                  Buffer::adopt(std::move(a_held)));
-      a_held = std::move(
-                   my_row.recv(static_cast<int>((j + 1) % g), row_tags + off))
-                   .take_as<T>();
-      my_col.send(static_cast<int>((i - 1 + g) % g), col_tags + off,
-                  Buffer::adopt(std::move(b_held)));
-      b_held = std::move(
-                   my_col.recv(static_cast<int>((i + 1) % g), col_tags + off))
-                   .take_as<T>();
-    }
-  }
-  return out;
-}
-
-#define CAMB_INSTANTIATE(T) \
-  template Block2DOutputT<T> cannon_rank<T>(RankCtx&, const CannonConfig&);
-CAMB_FOR_EACH_SCALAR(CAMB_INSTANTIATE)
-#undef CAMB_INSTANTIATE
-
-template <typename T>
-Block2DOutputT<T> cannon_ckpt_rank(ckpt::SessionT<T>& session,
-                                   const CannonConfig& cfg) {
-  RankCtx& ctx = session.ctx();
-  const i64 g = cfg.g;
-  CAMB_CHECK_MSG(g * g == session.nprocs(), "Cannon machine size must be g*g");
-  const i64 i = session.rank() / g;
-  const i64 j = session.rank() % g;
-  const BlockDist1D d1(cfg.shape.n1, g), d2(cfg.shape.n2, g),
-      d3(cfg.shape.n3, g);
-
-  std::vector<T> a_held = fill_chunk_indexed<T>(full_block(d1, i, d2, j));
-  std::vector<T> b_held = fill_chunk_indexed<T>(full_block(d2, i, d3, j));
-
-  // Fiber comms by logical rank, one tag block each for skew + shifts.
-  std::vector<int> row_members, col_members;
-  for (i64 v = 0; v < g; ++v) {
-    row_members.push_back(static_cast<int>(i * g + v));
-    col_members.push_back(static_cast<int>(v * g + j));
-  }
-  const coll::Comm my_row = session.comm(row_members);
-  const coll::Comm my_col = session.comm(col_members);
+  const GridMap map(Grid3{g, g, 1});
+  const coll::Comm my_row = session.comm(map.fiber(1, i, j, 0));
+  const coll::Comm my_col = session.comm(map.fiber(0, i, j, 0));
   const int row_tags = g > 1 ? my_row.take_tag_block() : 0;
   const int col_tags = g > 1 ? my_col.take_tag_block() : 0;
   CAMB_CHECK_MSG(2 * g < kTagBlockWidth, "grid too large for one tag block");
@@ -143,6 +46,8 @@ Block2DOutputT<T> cannon_ckpt_rank(ckpt::SessionT<T>& session,
     CAMB_CHECK(static_cast<i64>(snap.bufs[2].size()) == out.block.size());
     std::copy(snap.bufs[2].begin(), snap.bufs[2].end(), out.block.data());
   } else {
+    // Initial skew: A_{ij} moves to (i, j - i); afterwards rank (i, j) holds
+    // A_{i, (i + j) mod g}.  Likewise B_{ij} moves to (i - j, j).
     ctx.set_phase(kPhaseCannonSkew);
     if (g > 1) {
       my_row.send(static_cast<int>((j - i % g + g) % g), row_tags,
@@ -157,6 +62,7 @@ Block2DOutputT<T> cannon_ckpt_rank(ckpt::SessionT<T>& session,
   }
 
   for (i64 t = t0; t < g; ++t) {
+    // After the skew and t shifts, the held k-block index is (i + j + t).
     const i64 s = (i + j + t) % g;
     ctx.set_phase(kPhaseCannonGemm);
     Matrix<T> a_mat(d1.size(i), d2.size(s));
@@ -170,6 +76,7 @@ Block2DOutputT<T> cannon_ckpt_rank(ckpt::SessionT<T>& session,
     if (t + 1 < g && g > 1) {
       ctx.set_phase(kPhaseCannonShift);
       const int off = static_cast<int>(t + 1);
+      // Shift A left by one (to column j-1), B up by one (to row i-1).
       my_row.send(static_cast<int>((j - 1 + g) % g), row_tags + off,
                   Buffer::adopt(std::move(a_held)));
       a_held = std::move(
@@ -183,19 +90,27 @@ Block2DOutputT<T> cannon_ckpt_rank(ckpt::SessionT<T>& session,
     }
 
     session.boundary(t + 1, [&] {
-      SnapshotT<T> snap;
-      snap.bufs = {a_held, b_held,
-                   std::vector<T>(out.block.data(),
-                                  out.block.data() + out.block.size())};
-      return snap;
+      return snapshot_of<T>({a_held, b_held,
+                             std::vector<T>(out.block.data(),
+                                            out.block.data() +
+                                                out.block.size())});
     });
   }
   return out;
 }
 
-#define CAMB_INSTANTIATE(T)                       \
-  template Block2DOutputT<T> cannon_ckpt_rank<T>( \
-      ckpt::SessionT<T>&, const CannonConfig&);
+template <typename T>
+Block2DOutputT<T> cannon_rank(RankCtx& ctx, const CannonConfig& cfg) {
+  ckpt::PlainSessionT<T> session(ctx);
+  return cannon_body<T>(session, cfg);
+}
+
+#define CAMB_INSTANTIATE(T)                                       \
+  template Block2DOutputT<T> cannon_body<T>(                      \
+      ckpt::PlainSessionT<T>&, const CannonConfig&);              \
+  template Block2DOutputT<T> cannon_body<T>(ckpt::SessionT<T>&,   \
+                                            const CannonConfig&); \
+  template Block2DOutputT<T> cannon_rank<T>(RankCtx&, const CannonConfig&);
 CAMB_FOR_EACH_SCALAR(CAMB_INSTANTIATE)
 #undef CAMB_INSTANTIATE
 

@@ -19,8 +19,14 @@ struct CannonConfig {
   i64 g = 1;  ///< grid edge; machine size must be g*g
 };
 
-/// SPMD body for one rank; returns the rank's full C block.  Templated over
-/// the scalar (CAMB_FOR_EACH_SCALAR set); the default keeps legacy double
+/// The one SPMD body of Cannon for either session; returns the rank's full
+/// C block.  Under ckpt::SessionT it commits after every shift step (the
+/// held A/B blocks plus the C accumulator), so a restored rank rejoins the
+/// torus mid-rotation.  Instantiated for the CAMB_FOR_EACH_SCALAR set.
+template <typename T, typename Session>
+Block2DOutputT<T> cannon_body(Session& session, const CannonConfig& cfg);
+
+/// cannon_body on a plain session.  The default scalar keeps legacy double
 /// call sites source-compatible.
 template <typename T = double>
 Block2DOutputT<T> cannon_rank(RankCtx& ctx, const CannonConfig& cfg);
@@ -29,14 +35,7 @@ Block2DOutputT<T> cannon_rank(RankCtx& ctx, const CannonConfig& cfg);
 /// self are free, matching the machine's accounting).
 i64 cannon_predicted_recv_words(const CannonConfig& cfg, int rank);
 
-/// Checkpointable twin of cannon_rank: epoch boundaries after every shift
-/// step; snapshots carry the held A/B blocks plus the C accumulator so a
-/// restored rank rejoins the torus mid-rotation.
-template <typename T>
-Block2DOutputT<T> cannon_ckpt_rank(ckpt::SessionT<T>& session,
-                                   const CannonConfig& cfg);
-
-/// Boundary steps the twin announces (one per torus step).
+/// Boundary steps cannon_body announces (one per torus step).
 i64 cannon_ckpt_steps(const CannonConfig& cfg);
 /// Wire words of logical rank `logical`'s snapshot at boundary `step`.
 i64 cannon_ckpt_snapshot_words(const CannonConfig& cfg, int logical, i64 step);

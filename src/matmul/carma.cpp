@@ -119,23 +119,34 @@ bool carma_supported(const Shape& shape, int levels) {
   return leaf_c_words % (i64{1} << k_splits) == 0;
 }
 
-template <typename T>
-CarmaRankOutputT<T> carma_rank(RankCtx& ctx, const CarmaConfig& cfg) {
+template <typename T, typename Session>
+CarmaRankOutputT<T> carma_body(Session& session, const CarmaConfig& cfg) {
+  RankCtx& ctx = session.ctx();
   const i64 P = i64{1} << cfg.levels;
-  CAMB_CHECK_MSG(P == ctx.nprocs(), "machine size must be 2^levels");
+  CAMB_CHECK_MSG(P == session.nprocs(), "machine size must be 2^levels");
   CAMB_CHECK_MSG(carma_supported(cfg.shape, cfg.levels),
                  "shape does not satisfy CARMA's divisibility requirements");
   i64 r = cfg.shape.n1, k = cfg.shape.n2, c = cfg.shape.n3;
   i64 c_row0 = 0, c_col0 = 0;
   int g_lo = 0;
   int g_size = static_cast<int>(P);
+  const int me = session.rank();
+  const i64 t0 = session.resume_step();
 
-  // Root distribution: contiguous row blocks of A and B.
-  const int me = ctx.rank();
-  std::vector<T> a = fill_chunk_indexed<T>(BlockChunk{
-      0, 0, r, k, me * (r / P) * k, (r / P) * k});
-  std::vector<T> b = fill_chunk_indexed<T>(BlockChunk{
-      0, 0, k, c, me * (k / P) * c, (k / P) * c});
+  // Root distribution: contiguous row blocks of A and B — or the holdings
+  // after level t0 when resuming.
+  std::vector<T> a, b;
+  if (session.restored()) {
+    const SnapshotT<T>& snap = session.snapshot();
+    CAMB_CHECK(snap.bufs.size() == 2);
+    a = snap.bufs[0];
+    b = snap.bufs[1];
+  } else {
+    a = fill_chunk_indexed<T>(
+        BlockChunk{0, 0, r, k, me * (r / P) * k, (r / P) * k});
+    b = fill_chunk_indexed<T>(
+        BlockChunk{0, 0, k, c, me * (k / P) * c, (k / P) * c});
+  }
 
   std::vector<CombineFrame> combines;
   for (int level = 0; level < cfg.levels; ++level) {
@@ -143,7 +154,11 @@ CarmaRankOutputT<T> carma_rank(RankCtx& ctx, const CarmaConfig& cfg) {
     const int pidx = me - g_lo;
     const bool lower = pidx < s;
     const char split = choose_split(r, k, c);
-    ctx.set_phase(kPhaseCarmaSplit);
+    // Levels below the resume step replay only the split geometry and the
+    // comm leases (pure local bookkeeping): the data is already in `a`/`b`,
+    // but the unwind still needs every K-split's combine frame.
+    const bool live = level >= t0;
+    if (live) ctx.set_phase(kPhaseCarmaSplit);
     // This level's comm: the current group.  Every rank of the machine is in
     // exactly one group per level and the split letters are dimension-driven
     // (identical across groups), so the lease sequences stay in lockstep.
@@ -151,27 +166,32 @@ CarmaRankOutputT<T> carma_rank(RankCtx& ctx, const CarmaConfig& cfg) {
     for (int m = 0; m < g_size; ++m) {
       members[static_cast<std::size_t>(m)] = g_lo + m;
     }
-    coll::Comm level_comm(ctx, std::move(members), /*tag_blocks=*/2);
+    coll::Comm level_comm = session.comm(std::move(members), /*tag_blocks=*/2);
     const int tags = level_comm.take_tag_block();
     if (split == 'M') {
       // A and C halves align with the comm halves; replicate B.
-      b = replicate_exchange(level_comm, b, tags);
+      if (live) b = replicate_exchange(level_comm, b, tags);
       r /= 2;
       if (!lower) c_row0 += r;
     } else if (split == 'K') {
-      a = split_columns_exchange(level_comm, a, r / g_size, k, tags);
+      if (live) a = split_columns_exchange(level_comm, a, r / g_size, k, tags);
       k /= 2;
       const int combine_tags = level_comm.take_tag_block();
       combines.push_back(CombineFrame{std::move(level_comm), combine_tags,
                                       lower ? pidx + s : pidx - s, lower});
     } else {  // 'N'
-      a = replicate_exchange(level_comm, a, tags);
-      b = split_columns_exchange(level_comm, b, k / g_size, c, tags + 1);
+      if (live) {
+        a = replicate_exchange(level_comm, a, tags);
+        b = split_columns_exchange(level_comm, b, k / g_size, c, tags + 1);
+      }
       c /= 2;
       if (!lower) c_col0 += c;
     }
     if (!lower) g_lo += s;
     g_size = s;
+    if (live) {
+      session.boundary(level + 1, [&] { return snapshot_of<T>({a, b}); });
+    }
   }
 
   // Leaf: this rank owns the entire (r × k) x (k × c) subproblem.
@@ -200,127 +220,6 @@ CarmaRankOutputT<T> carma_rank(RankCtx& ctx, const CarmaConfig& cfg) {
                      Buffer::adopt(std::move(outgoing)));
     const std::vector<T> incoming =
         std::move(frame->comm.recv(frame->partner_idx, frame->tag))
-            .take_as<T>();
-    CAMB_CHECK(static_cast<i64>(incoming.size()) == half);
-    const i64 keep_off = frame->lower ? 0 : half;
-    for (i64 j = 0; j < half; ++j) {
-      out.data[static_cast<std::size_t>(keep_off + j)] +=
-          incoming[static_cast<std::size_t>(j)];
-    }
-    if (frame->lower) {
-      out.data.resize(static_cast<std::size_t>(half));
-    } else {
-      out.data.erase(out.data.begin(), out.data.begin() + half);
-      out.holding.flat_start += half;
-    }
-    out.holding.flat_size = half;
-  }
-  // The lower member's kept range starts where it started; adjust size only.
-  return out;
-}
-
-#define CAMB_INSTANTIATE(T) \
-  template CarmaRankOutputT<T> carma_rank<T>(RankCtx&, const CarmaConfig&);
-CAMB_FOR_EACH_SCALAR(CAMB_INSTANTIATE)
-#undef CAMB_INSTANTIATE
-
-template <typename T>
-CarmaRankOutputT<T> carma_ckpt_rank(ckpt::SessionT<T>& session,
-                                    const CarmaConfig& cfg) {
-  RankCtx& ctx = session.ctx();
-  const i64 P = i64{1} << cfg.levels;
-  CAMB_CHECK_MSG(P == session.nprocs(), "machine size must be 2^levels");
-  CAMB_CHECK_MSG(carma_supported(cfg.shape, cfg.levels),
-                 "shape does not satisfy CARMA's divisibility requirements");
-  i64 r = cfg.shape.n1, k = cfg.shape.n2, c = cfg.shape.n3;
-  i64 c_row0 = 0, c_col0 = 0;
-  int g_lo = 0;
-  int g_size = static_cast<int>(P);
-  const int me = session.rank();
-  const i64 t0 = session.resume_step();
-
-  std::vector<T> a, b;
-  if (session.restored()) {
-    const SnapshotT<T>& snap = session.snapshot();
-    CAMB_CHECK(snap.bufs.size() == 2);
-    a = snap.bufs[0];
-    b = snap.bufs[1];
-  } else {
-    a = fill_chunk_indexed<T>(BlockChunk{0, 0, r, k, me * (r / P) * k,
-                                         (r / P) * k});
-    b = fill_chunk_indexed<T>(BlockChunk{0, 0, k, c, me * (k / P) * c,
-                                         (k / P) * c});
-  }
-
-  std::vector<CombineFrame> combines;
-  for (int level = 0; level < cfg.levels; ++level) {
-    const int s = g_size / 2;
-    const int pidx = me - g_lo;
-    const bool lower = pidx < s;
-    const char split = choose_split(r, k, c);
-    // Levels below the resume step replay only the split geometry and the
-    // comm leases (pure local bookkeeping): the data is already in `a`/`b`,
-    // but the unwind still needs every K-split's combine frame.
-    const bool live = level >= t0;
-    if (live) ctx.set_phase(kPhaseCarmaSplit);
-    std::vector<int> members(static_cast<std::size_t>(g_size));
-    for (int m = 0; m < g_size; ++m) {
-      members[static_cast<std::size_t>(m)] = g_lo + m;
-    }
-    coll::Comm level_comm = session.comm(members, /*tag_blocks=*/2);
-    const int tags = level_comm.take_tag_block();
-    if (split == 'M') {
-      if (live) b = replicate_exchange(level_comm, b, tags);
-      r /= 2;
-      if (!lower) c_row0 += r;
-    } else if (split == 'K') {
-      if (live) a = split_columns_exchange(level_comm, a, r / g_size, k, tags);
-      k /= 2;
-      const int combine_tags = level_comm.take_tag_block();
-      combines.push_back(CombineFrame{std::move(level_comm), combine_tags,
-                                      lower ? pidx + s : pidx - s, lower});
-    } else {  // 'N'
-      if (live) {
-        a = replicate_exchange(level_comm, a, tags);
-        b = split_columns_exchange(level_comm, b, k / g_size, c, tags + 1);
-      }
-      c /= 2;
-      if (!lower) c_col0 += c;
-    }
-    if (!lower) g_lo += s;
-    g_size = s;
-    if (live) {
-      session.boundary(level + 1, [&] {
-        SnapshotT<T> snap;
-        snap.bufs = {a, b};
-        return snap;
-      });
-    }
-  }
-
-  ctx.set_phase(kPhaseCarmaGemm);
-  Matrix<T> a_leaf(r, k), b_leaf(k, c);
-  CAMB_CHECK(static_cast<i64>(a.size()) == r * k);
-  CAMB_CHECK(static_cast<i64>(b.size()) == k * c);
-  std::copy(a.begin(), a.end(), a_leaf.data());
-  std::copy(b.begin(), b.end(), b_leaf.data());
-  const Matrix<T> c_leaf = gemm(a_leaf, b_leaf);
-
-  CarmaRankOutputT<T> out;
-  out.holding = BlockChunk{c_row0, c_col0, r, c, 0, r * c};
-  out.data.assign(c_leaf.data(), c_leaf.data() + c_leaf.size());
-
-  ctx.set_phase(kPhaseCarmaCombine);
-  for (auto frame = combines.rbegin(); frame != combines.rend(); ++frame) {
-    const i64 half = static_cast<i64>(out.data.size()) / 2;
-    CAMB_CHECK(2 * half == static_cast<i64>(out.data.size()));
-    std::vector<T> outgoing(
-        out.data.begin() + (frame->lower ? half : 0),
-        out.data.begin() + (frame->lower ? 2 * half : half));
-    frame->comm.send(frame->partner_idx, frame->tag,
-                     Buffer::adopt(std::move(outgoing)));
-    const std::vector<T> incoming =
-        std::move(frame->comm.recv(frame->partner_idx, frame->tag))
             .template take_as<T>();
     CAMB_CHECK(static_cast<i64>(incoming.size()) == half);
     const i64 keep_off = frame->lower ? 0 : half;
@@ -328,6 +227,8 @@ CarmaRankOutputT<T> carma_ckpt_rank(ckpt::SessionT<T>& session,
       out.data[static_cast<std::size_t>(keep_off + j)] +=
           incoming[static_cast<std::size_t>(j)];
     }
+    // The lower member's kept range starts where it started; adjust size
+    // only.
     if (frame->lower) {
       out.data.resize(static_cast<std::size_t>(half));
     } else {
@@ -339,9 +240,18 @@ CarmaRankOutputT<T> carma_ckpt_rank(ckpt::SessionT<T>& session,
   return out;
 }
 
-#define CAMB_INSTANTIATE(T)                        \
-  template CarmaRankOutputT<T> carma_ckpt_rank<T>( \
-      ckpt::SessionT<T>&, const CarmaConfig&);
+template <typename T>
+CarmaRankOutputT<T> carma_rank(RankCtx& ctx, const CarmaConfig& cfg) {
+  ckpt::PlainSessionT<T> session(ctx);
+  return carma_body<T>(session, cfg);
+}
+
+#define CAMB_INSTANTIATE(T)                                               \
+  template CarmaRankOutputT<T> carma_body<T>(ckpt::PlainSessionT<T>&,     \
+                                             const CarmaConfig&);         \
+  template CarmaRankOutputT<T> carma_body<T>(ckpt::SessionT<T>&,          \
+                                             const CarmaConfig&);         \
+  template CarmaRankOutputT<T> carma_rank<T>(RankCtx&, const CarmaConfig&);
 CAMB_FOR_EACH_SCALAR(CAMB_INSTANTIATE)
 #undef CAMB_INSTANTIATE
 

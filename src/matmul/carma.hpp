@@ -46,9 +46,17 @@ struct CarmaRankOutputT {
 };
 using CarmaRankOutput = CarmaRankOutputT<double>;
 
-/// SPMD body for one rank (inputs generated in place at the root
-/// distribution, so all measured traffic is the algorithm's own).
-/// Templated over the scalar (CAMB_FOR_EACH_SCALAR set).
+/// The one SPMD body for either session (inputs generated in place at the
+/// root distribution, so all measured traffic is the algorithm's own).
+/// Under ckpt::SessionT it commits once per recursion level (the current A
+/// and B holdings); a resumed rank replays the skipped levels' split
+/// geometry and comm leases locally — no communication — so the unwind's
+/// combine frames are rebuilt exactly.  Instantiated for the
+/// CAMB_FOR_EACH_SCALAR set.
+template <typename T, typename Session>
+CarmaRankOutputT<T> carma_body(Session& session, const CarmaConfig& cfg);
+
+/// carma_body on a plain session.
 template <typename T = double>
 CarmaRankOutputT<T> carma_rank(RankCtx& ctx, const CarmaConfig& cfg);
 
@@ -62,14 +70,8 @@ std::vector<char> carma_split_sequence(const CarmaConfig& cfg);
 /// True iff the configuration satisfies CARMA's divisibility requirements.
 bool carma_supported(const Shape& shape, int levels);
 
-/// Checkpointable twin: one boundary per recursion level (snapshots carry
-/// the current A and B holdings).  A resumed rank replays the skipped
-/// levels' split geometry and comm leases locally — no communication — so
-/// the unwind's combine frames are rebuilt exactly.
-template <typename T>
-CarmaRankOutputT<T> carma_ckpt_rank(ckpt::SessionT<T>& session,
-                                    const CarmaConfig& cfg);
-
+/// Boundary steps carma_body announces, and the wire words of logical rank
+/// `logical`'s snapshot at boundary `step`.
 i64 carma_ckpt_steps(const CarmaConfig& cfg);
 i64 carma_ckpt_snapshot_words(const CarmaConfig& cfg, int logical, i64 step);
 

@@ -96,4 +96,18 @@ std::vector<T> fill_chunk_indexed(const BlockChunk& chunk);
 template <typename T = double>
 std::vector<T> fill_chunk_indexed_int(const BlockChunk& chunk);
 
+/// The chunk filled with the integer-valued pattern when `integer_inputs`,
+/// else with the plain indexed pattern.
+template <typename T>
+std::vector<T> fill_chunk_pattern(const BlockChunk& chunk,
+                                  bool integer_inputs) {
+  return integer_inputs ? fill_chunk_indexed_int<T>(chunk)
+                        : fill_chunk_indexed<T>(chunk);
+}
+
+/// Block (ri, ci) of the rows x cols block split, whole: the owned block of
+/// the 2D algorithms (flat_start 0, flat_size the block size).
+BlockChunk full_block(const BlockDist1D& rows, i64 ri, const BlockDist1D& cols,
+                      i64 ci);
+
 }  // namespace camb::mm

@@ -250,8 +250,8 @@ struct Grid3dTraits {
       for (int& r : logicals) r = actives[static_cast<std::size_t>(r)];
       return logicals;
     };
-    // Fibers in axis order, mirroring GridComm's construction sequence so
-    // the recovery leases line up across actives.
+    // Fibers in axis order, the same construction sequence on every active,
+    // so the recovery leases line up.
     const coll::Comm f0 =
         coll::Comm::recovery(ctx, to_machine(map.fiber(0, q1, q2, q3)));
     const coll::Comm f1 =

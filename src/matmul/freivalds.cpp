@@ -187,7 +187,7 @@ std::vector<double> freivalds_trials(const RowSource& a, const RowSource& b,
           for (int l = 0; l < kLanes; ++l) {
             const std::size_t t = blk * kLanes + static_cast<std::size_t>(l);
             my_worst[t] =
-                std::max(my_worst[t], std::abs(z[l] - cx[r * kLanes + l]));
+                nan_max(my_worst[t], std::abs(z[l] - cx[r * kLanes + l]));
             my_scale[t] = std::max(my_scale[t], mag[l]);
           }
         }
@@ -199,7 +199,7 @@ std::vector<double> freivalds_trials(const RowSource& a, const RowSource& b,
   for (std::size_t t = 0; t < residuals.size(); ++t) {
     double wt = 0.0, st = 1.0;
     for (int w = 0; w < width; ++w) {
-      wt = std::max(wt, worst[static_cast<std::size_t>(w)][t]);
+      wt = nan_max(wt, worst[static_cast<std::size_t>(w)][t]);
       st = std::max(st, scale[static_cast<std::size_t>(w)][t]);
     }
     residuals[t] = wt / st;
@@ -211,7 +211,7 @@ double freivalds_residual(const RowSource& a, const RowSource& b,
                           const RowSource& c, int trials, Rng& rng) {
   double worst = 0.0;
   for (double r : freivalds_trials(a, b, c, trials, rng)) {
-    worst = std::max(worst, r);
+    worst = nan_max(worst, r);
   }
   return worst;
 }

@@ -94,14 +94,14 @@ double freivalds_residual(const Matrix<T>& a, const Matrix<T>& b,
 }
 
 /// True iff C == A*B passes `trials` Freivalds checks with random {0,1}
-/// vectors: no trial's residual exceeds `tol`.
+/// vectors: every trial's residual is at most `tol` (a NaN residual fails).
 template <typename T>
 bool freivalds_check(const Matrix<T>& a, const Matrix<T>& b,
                      const Matrix<T>& c, int trials, Rng& rng,
                      double tol = freivalds_default_tol<T>()) {
   for (double r : freivalds_trials(matrix_rows(a), matrix_rows(b),
                                    matrix_rows(c), trials, rng)) {
-    if (r > tol) return false;
+    if (!(r <= tol)) return false;
   }
   return true;
 }

@@ -1,7 +1,6 @@
 #include "matmul/grid3d.hpp"
 
 #include "collectives/coll_cost.hpp"
-#include "collectives/grid_comm.hpp"
 #include "matmul/local_gemm.hpp"
 #include "util/error.hpp"
 #include "util/scalar.hpp"
@@ -50,6 +49,76 @@ Grid3dLayout grid3d_layout(const Grid3dConfig& cfg, int rank) {
   return layout;
 }
 
+namespace {
+
+/// The four steps of Algorithm 1 under a session, with boundaries after the
+/// A all-gather, the B all-gather, and the gemm + reduce-scatter.  The
+/// working sets span the whole body whatever step it resumes from.
+template <typename T, typename Session>
+Grid3dRankOutputT<T> grid3d_steps(Session& session, const Grid3dConfig& cfg,
+                                  const Grid3dLayout& layout,
+                                  const coll::Comm& fiber_a,
+                                  const coll::Comm& fiber_b,
+                                  const coll::Comm& fiber_c,
+                                  std::vector<T> a_local,
+                                  std::vector<T> b_local) {
+  RankCtx& ctx = session.ctx();
+  const i64 t0 = session.resume_step();
+  std::vector<T> a_flat, b_flat;
+  Grid3dRankOutputT<T> out;
+  out.c_chunk = layout.c;
+  if (session.restored()) {
+    const SnapshotT<T>& snap = session.snapshot();
+    if (t0 < 3) {
+      a_flat = snap.bufs.at(0);
+      if (t0 == 2) b_flat = snap.bufs.at(1);
+    } else {
+      out.c_data = snap.bufs.at(0);
+    }
+  }
+  constexpr i64 kElemBytes = ScalarTraits<T>::elem_bytes;
+
+  // Line 3: All-Gather A across the fiber (q1, q2, :).
+  const camb::WorkingSet a_ws(ctx, layout.a.block_size(), kElemBytes);
+  if (t0 < 1) {
+    ctx.set_phase(kPhaseAllgatherA);
+    a_flat =
+        coll::allgather(fiber_a, layout.a_counts, a_local, cfg.allgather);
+    session.boundary(1, [&] { return snapshot_of<T>({a_flat}); });
+  }
+
+  // Line 4: All-Gather B across the fiber (:, q2, q3).
+  const camb::WorkingSet b_ws(ctx, layout.b.block_size(), kElemBytes);
+  if (t0 < 2) {
+    ctx.set_phase(kPhaseAllgatherB);
+    b_flat =
+        coll::allgather(fiber_b, layout.b_counts, b_local, cfg.allgather);
+    session.boundary(2, [&] { return snapshot_of<T>({a_flat, b_flat}); });
+  }
+
+  const camb::WorkingSet d_ws(ctx, layout.c.block_size(), kElemBytes);
+  if (t0 < 3) {
+    // Line 6: local multiply D = A_{q1 q2} * B_{q2 q3}.
+    ctx.set_phase(kPhaseLocalGemm);
+    Matrix<T> a_block(layout.a.rows, layout.a.cols);
+    std::copy(a_flat.begin(), a_flat.end(), a_block.data());
+    Matrix<T> b_block(layout.b.rows, layout.b.cols);
+    std::copy(b_flat.begin(), b_flat.end(), b_block.data());
+    const Matrix<T> d_block = gemm(a_block, b_block);
+
+    // Line 8: Reduce-Scatter D across the fiber (q1, :, q3).
+    ctx.set_phase(kPhaseReduceScatterC);
+    std::vector<T> d_flat(d_block.data(), d_block.data() + d_block.size());
+    out.c_data = coll::reduce_scatter(fiber_c, layout.c_counts, d_flat,
+                                      cfg.reduce_scatter);
+    CAMB_CHECK(static_cast<i64>(out.c_data.size()) == layout.c.flat_size);
+    session.boundary(3, [&] { return snapshot_of<T>({out.c_data}); });
+  }
+  return out;
+}
+
+}  // namespace
+
 template <typename T>
 Grid3dRankOutputT<T> grid3d_core(RankCtx& ctx, const Grid3dConfig& cfg,
                                  const Grid3dLayout& layout,
@@ -58,144 +127,44 @@ Grid3dRankOutputT<T> grid3d_core(RankCtx& ctx, const Grid3dConfig& cfg,
                                  const coll::Comm& fiber_c,
                                  std::vector<T> a_local,
                                  std::vector<T> b_local) {
-  // Line 3: All-Gather A across the fiber (q1, q2, :).
-  ctx.set_phase(kPhaseAllgatherA);
-  const camb::WorkingSet a_ws(ctx, layout.a.block_size(),
-                              ScalarTraits<T>::elem_bytes);
-  std::vector<T> a_flat =
-      coll::allgather(fiber_a, layout.a_counts, a_local, cfg.allgather);
+  ckpt::PlainSessionT<T> session(ctx);
+  return grid3d_steps<T>(session, cfg, layout, fiber_a, fiber_b, fiber_c,
+                         std::move(a_local), std::move(b_local));
+}
 
-  // Line 4: All-Gather B across the fiber (:, q2, q3).
-  ctx.set_phase(kPhaseAllgatherB);
-  const camb::WorkingSet b_ws(ctx, layout.b.block_size(),
-                              ScalarTraits<T>::elem_bytes);
-  std::vector<T> b_flat =
-      coll::allgather(fiber_b, layout.b_counts, b_local, cfg.allgather);
-
-  // Line 6: local multiply D = A_{q1 q2} * B_{q2 q3}.
-  ctx.set_phase(kPhaseLocalGemm);
-  const camb::WorkingSet d_ws(ctx, layout.c.block_size(),
-                              ScalarTraits<T>::elem_bytes);
-  Matrix<T> a_block(layout.a.rows, layout.a.cols);
-  std::copy(a_flat.begin(), a_flat.end(), a_block.data());
-  Matrix<T> b_block(layout.b.rows, layout.b.cols);
-  std::copy(b_flat.begin(), b_flat.end(), b_block.data());
-  const Matrix<T> d_block = gemm(a_block, b_block);
-
-  // Line 8: Reduce-Scatter D across the fiber (q1, :, q3).
-  ctx.set_phase(kPhaseReduceScatterC);
-  std::vector<T> d_flat(d_block.data(), d_block.data() + d_block.size());
-  Grid3dRankOutputT<T> out;
-  out.c_chunk = layout.c;
-  out.c_data = coll::reduce_scatter(fiber_c, layout.c_counts, d_flat,
-                                    cfg.reduce_scatter);
-  CAMB_CHECK(static_cast<i64>(out.c_data.size()) == layout.c.flat_size);
-  return out;
+template <typename T, typename Session>
+Grid3dRankOutputT<T> grid3d_body(Session& session, const Grid3dConfig& cfg) {
+  CAMB_CHECK_MSG(cfg.grid.total() == session.nprocs(),
+                 "grid size must equal the machine size");
+  const int me = session.rank();
+  const Grid3dLayout layout = grid3d_layout(cfg, me);
+  // The three fibers in axis order: (:, q2, q3) for B, (q1, :, q3) for C,
+  // (q1, q2, :) for A.
+  const GridMap map(cfg.grid);
+  const auto [q1, q2, q3] = map.coords_of(me);
+  const coll::Comm fiber_b = session.comm(map.fiber(0, q1, q2, q3));
+  const coll::Comm fiber_c = session.comm(map.fiber(1, q1, q2, q3));
+  const coll::Comm fiber_a = session.comm(map.fiber(2, q1, q2, q3));
+  return grid3d_steps<T>(session, cfg, layout, fiber_a, fiber_b, fiber_c,
+                         fill_chunk_pattern<T>(layout.a, cfg.integer_inputs),
+                         fill_chunk_pattern<T>(layout.b, cfg.integer_inputs));
 }
 
 template <typename T>
 Grid3dRankOutputT<T> grid3d_rank(RankCtx& ctx, const Grid3dConfig& cfg) {
-  CAMB_CHECK_MSG(cfg.grid.total() == ctx.nprocs(),
-                 "grid size must equal the machine size");
-  const Grid3dLayout layout = grid3d_layout(cfg, ctx.rank());
-  const coll::GridComm grid(ctx, cfg.grid);
-
-  const auto fill = [&](const BlockChunk& chunk) {
-    return cfg.integer_inputs ? fill_chunk_indexed_int<T>(chunk)
-                              : fill_chunk_indexed<T>(chunk);
-  };
-  return grid3d_core<T>(ctx, cfg, layout, grid.fiber(2), grid.fiber(0),
-                        grid.fiber(1), fill(layout.a), fill(layout.b));
+  ckpt::PlainSessionT<T> session(ctx);
+  return grid3d_body<T>(session, cfg);
 }
 
 #define CAMB_INSTANTIATE(T)                                                  \
   template Grid3dRankOutputT<T> grid3d_core<T>(                              \
       RankCtx&, const Grid3dConfig&, const Grid3dLayout&, const coll::Comm&, \
       const coll::Comm&, const coll::Comm&, std::vector<T>, std::vector<T>); \
+  template Grid3dRankOutputT<T> grid3d_body<T>(ckpt::PlainSessionT<T>&,      \
+                                               const Grid3dConfig&);         \
+  template Grid3dRankOutputT<T> grid3d_body<T>(ckpt::SessionT<T>&,           \
+                                               const Grid3dConfig&);         \
   template Grid3dRankOutputT<T> grid3d_rank<T>(RankCtx&, const Grid3dConfig&);
-CAMB_FOR_EACH_SCALAR(CAMB_INSTANTIATE)
-#undef CAMB_INSTANTIATE
-
-template <typename T>
-Grid3dRankOutputT<T> grid3d_ckpt_rank(ckpt::SessionT<T>& session,
-                                      const Grid3dConfig& cfg) {
-  RankCtx& ctx = session.ctx();
-  CAMB_CHECK_MSG(cfg.grid.total() == session.nprocs(),
-                 "grid size must equal the logical machine size");
-  const int me = session.rank();
-  const Grid3dLayout layout = grid3d_layout(cfg, me);
-  const GridMap map(cfg.grid);
-  const auto [q1, q2, q3] = map.coords_of(me);
-  const coll::Comm fiber_b = session.comm(map.fiber(0, q1, q2, q3));
-  const coll::Comm fiber_c = session.comm(map.fiber(1, q1, q2, q3));
-  const coll::Comm fiber_a = session.comm(map.fiber(2, q1, q2, q3));
-
-  const auto fill = [&](const BlockChunk& chunk) {
-    return cfg.integer_inputs ? fill_chunk_indexed_int<T>(chunk)
-                              : fill_chunk_indexed<T>(chunk);
-  };
-
-  const i64 t0 = session.resume_step();
-  std::vector<T> a_flat, b_flat;
-  Grid3dRankOutputT<T> out;
-  out.c_chunk = layout.c;
-  if (session.restored()) {
-    const SnapshotT<T>& snap = session.snapshot();
-    if (t0 == 1) {
-      a_flat = snap.bufs.at(0);
-    } else if (t0 == 2) {
-      a_flat = snap.bufs.at(0);
-      b_flat = snap.bufs.at(1);
-    } else {
-      CAMB_CHECK(t0 == 3);
-      out.c_data = snap.bufs.at(0);
-    }
-  }
-
-  for (i64 step = t0; step < 3; ++step) {
-    if (step == 0) {
-      ctx.set_phase(kPhaseAllgatherA);
-      const camb::WorkingSet a_ws(ctx, layout.a.block_size());
-      a_flat = coll::allgather(fiber_a, layout.a_counts, fill(layout.a),
-                               cfg.allgather);
-    } else if (step == 1) {
-      ctx.set_phase(kPhaseAllgatherB);
-      const camb::WorkingSet b_ws(ctx, layout.b.block_size());
-      b_flat = coll::allgather(fiber_b, layout.b_counts, fill(layout.b),
-                               cfg.allgather);
-    } else {
-      ctx.set_phase(kPhaseLocalGemm);
-      const camb::WorkingSet d_ws(ctx, layout.c.block_size());
-      Matrix<T> a_block(layout.a.rows, layout.a.cols);
-      std::copy(a_flat.begin(), a_flat.end(), a_block.data());
-      Matrix<T> b_block(layout.b.rows, layout.b.cols);
-      std::copy(b_flat.begin(), b_flat.end(), b_block.data());
-      const Matrix<T> d_block = gemm(a_block, b_block);
-      ctx.set_phase(kPhaseReduceScatterC);
-      std::vector<T> d_flat(d_block.data(),
-                            d_block.data() + d_block.size());
-      out.c_data = coll::reduce_scatter(fiber_c, layout.c_counts, d_flat,
-                                        cfg.reduce_scatter);
-      CAMB_CHECK(static_cast<i64>(out.c_data.size()) == layout.c.flat_size);
-    }
-    session.boundary(step + 1, [&] {
-      SnapshotT<T> snap;
-      if (step == 0) {
-        snap.bufs = {a_flat};
-      } else if (step == 1) {
-        snap.bufs = {a_flat, b_flat};
-      } else {
-        snap.bufs = {out.c_data};
-      }
-      return snap;
-    });
-  }
-  return out;
-}
-
-#define CAMB_INSTANTIATE(T)                          \
-  template Grid3dRankOutputT<T> grid3d_ckpt_rank<T>( \
-      ckpt::SessionT<T>&, const Grid3dConfig&);
 CAMB_FOR_EACH_SCALAR(CAMB_INSTANTIATE)
 #undef CAMB_INSTANTIATE
 

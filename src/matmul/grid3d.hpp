@@ -48,17 +48,23 @@ struct Grid3dLayout {
 /// Computes the data layout of `rank` under the configuration.
 Grid3dLayout grid3d_layout(const Grid3dConfig& cfg, int rank);
 
-/// SPMD body of Algorithm 1 for one rank.  Inputs are generated locally with
-/// the deterministic indexed pattern (no distribution traffic), so all
-/// measured communication is the algorithm's own.  Templated over the
-/// scalar (CAMB_FOR_EACH_SCALAR set); the default keeps legacy double call
-/// sites source-compatible.
+/// The one SPMD body of Algorithm 1, for either session
+/// (collectives/rollback.hpp).  Inputs are generated locally with the
+/// deterministic indexed pattern (no distribution traffic), so all measured
+/// communication is the algorithm's own.  Under ckpt::SessionT it commits
+/// after the A all-gather, the B all-gather, and the gemm + reduce-scatter.
+/// Instantiated for the CAMB_FOR_EACH_SCALAR set.
+template <typename T, typename Session>
+Grid3dRankOutputT<T> grid3d_body(Session& session, const Grid3dConfig& cfg);
+
+/// grid3d_body on a plain session.  The default scalar keeps legacy double
+/// call sites source-compatible.
 template <typename T = double>
 Grid3dRankOutputT<T> grid3d_rank(RankCtx& ctx, const Grid3dConfig& cfg);
 
-/// The four-step body of Algorithm 1 parameterized by its three fiber comms
-/// and pre-filled local chunks, so the same code runs on the world grid
-/// (grid3d_rank) and on a survivors' recovery grid (the elastic twin).
+/// The four steps of grid3d_body (on a plain session) parameterized by the
+/// three fiber comms and pre-filled local chunks, so the same code runs on a
+/// survivors' recovery grid (the elastic variant).
 /// `layout` must be this rank's logical layout; `fiber_a` is the comm of
 /// the (q1, q2, :) fiber, `fiber_b` of (:, q2, q3), `fiber_c` of (q1, :, q3).
 template <typename T>
@@ -77,12 +83,8 @@ i64 grid3d_predicted_recv_words(const Grid3dConfig& cfg, int rank);
 /// Max of grid3d_predicted_recv_words over all ranks.
 i64 grid3d_predicted_critical_recv_words(const Grid3dConfig& cfg);
 
-/// Checkpointable twin: boundaries after the A all-gather, the B all-gather,
-/// and the gemm + reduce-scatter.
-template <typename T>
-Grid3dRankOutputT<T> grid3d_ckpt_rank(ckpt::SessionT<T>& session,
-                                      const Grid3dConfig& cfg);
-
+/// Boundary steps grid3d_body announces, and the wire words of logical
+/// rank `logical`'s snapshot at boundary `step`.
 i64 grid3d_ckpt_steps(const Grid3dConfig& cfg);
 i64 grid3d_ckpt_snapshot_words(const Grid3dConfig& cfg, int logical, i64 step);
 

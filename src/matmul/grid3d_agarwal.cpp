@@ -2,79 +2,18 @@
 
 #include "collectives/alltoall.hpp"
 #include "collectives/coll_cost.hpp"
-#include "collectives/grid_comm.hpp"
 #include "matmul/local_gemm.hpp"
 #include "util/error.hpp"
 #include "util/scalar.hpp"
 
 namespace camb::mm {
 
-template <typename T>
-Grid3dRankOutputT<T> grid3d_agarwal_rank(RankCtx& ctx,
+template <typename T, typename Session>
+Grid3dRankOutputT<T> grid3d_agarwal_body(Session& session,
                                          const Grid3dAgarwalConfig& cfg) {
-  CAMB_CHECK_MSG(cfg.grid.total() == ctx.nprocs(),
-                 "grid size must equal the machine size");
-  const Grid3dConfig base{cfg.shape, cfg.grid, cfg.allgather,
-                          coll::ReduceScatterAlgo::kAuto};
-  const Grid3dLayout layout = grid3d_layout(base, ctx.rank());
-  const coll::GridComm grid(ctx, cfg.grid);
-
-  // Lines 3-4: identical to Algorithm 1.
-  ctx.set_phase(kPhaseAllgatherA);
-  std::vector<T> a_flat = coll::allgather(
-      grid.fiber(2), layout.a_counts, fill_chunk_indexed<T>(layout.a),
-      cfg.allgather);
-  ctx.set_phase(kPhaseAllgatherB);
-  std::vector<T> b_flat = coll::allgather(
-      grid.fiber(0), layout.b_counts, fill_chunk_indexed<T>(layout.b),
-      cfg.allgather);
-
-  ctx.set_phase(kPhaseLocalGemm);
-  Matrix<T> a_block(layout.a.rows, layout.a.cols);
-  std::copy(a_flat.begin(), a_flat.end(), a_block.data());
-  Matrix<T> b_block(layout.b.rows, layout.b.cols);
-  std::copy(b_flat.begin(), b_flat.end(), b_block.data());
-  const Matrix<T> d_block = gemm(a_block, b_block);
-
-  // Line 8 the 1995 way: All-to-All the personalized D segments, sum after.
-  ctx.set_phase(kPhaseAlltoallC);
-  const int p2 = static_cast<int>(cfg.grid.p2);
-  std::vector<std::vector<T>> pieces(static_cast<std::size_t>(p2));
-  // Bruck requires equal blocks; pairwise handles the near-equal counts.
-  // For Bruck with ragged counts we pad... instead: Bruck only when counts
-  // are uniform (checked), pairwise otherwise.
-  for (int t = 0; t < p2; ++t) {
-    const i64 off = coll::counts_offset(layout.c_counts, t);
-    const i64 len = layout.c_counts[static_cast<std::size_t>(t)];
-    pieces[static_cast<std::size_t>(t)].assign(
-        d_block.data() + off, d_block.data() + off + len);
-  }
-  const std::vector<std::vector<T>> received =
-      coll::alltoall(grid.fiber(1), pieces, cfg.alltoall);
-
-  Grid3dRankOutputT<T> out;
-  out.c_chunk = layout.c;
-  out.c_data.assign(static_cast<std::size_t>(layout.c.flat_size),
-                    ScalarTraits<T>::zero());
-  for (const auto& piece : received) {
-    CAMB_CHECK(static_cast<i64>(piece.size()) == layout.c.flat_size);
-    for (std::size_t j = 0; j < piece.size(); ++j) out.c_data[j] += piece[j];
-  }
-  return out;
-}
-
-#define CAMB_INSTANTIATE(T)                      \
-  template Grid3dRankOutputT<T> grid3d_agarwal_rank<T>( \
-      RankCtx&, const Grid3dAgarwalConfig&);
-CAMB_FOR_EACH_SCALAR(CAMB_INSTANTIATE)
-#undef CAMB_INSTANTIATE
-
-template <typename T>
-Grid3dRankOutputT<T> grid3d_agarwal_ckpt_rank(ckpt::SessionT<T>& session,
-                                              const Grid3dAgarwalConfig& cfg) {
   RankCtx& ctx = session.ctx();
   CAMB_CHECK_MSG(cfg.grid.total() == session.nprocs(),
-                 "grid size must equal the logical machine size");
+                 "grid size must equal the machine size");
   const int me = session.rank();
   const Grid3dConfig base{cfg.shape, cfg.grid, cfg.allgather,
                           coll::ReduceScatterAlgo::kAuto};
@@ -91,74 +30,72 @@ Grid3dRankOutputT<T> grid3d_agarwal_ckpt_rank(ckpt::SessionT<T>& session,
   out.c_chunk = layout.c;
   if (session.restored()) {
     const SnapshotT<T>& snap = session.snapshot();
-    if (t0 == 1) {
+    if (t0 < 3) {
       a_flat = snap.bufs.at(0);
-    } else if (t0 == 2) {
-      a_flat = snap.bufs.at(0);
-      b_flat = snap.bufs.at(1);
+      if (t0 == 2) b_flat = snap.bufs.at(1);
     } else {
-      CAMB_CHECK(t0 == 3);
       out.c_data = snap.bufs.at(0);
     }
   }
 
-  for (i64 step = t0; step < 3; ++step) {
-    if (step == 0) {
-      ctx.set_phase(kPhaseAllgatherA);
-      a_flat = coll::allgather(fiber_a, layout.a_counts,
-                               fill_chunk_indexed<T>(layout.a),
-                               cfg.allgather);
-    } else if (step == 1) {
-      ctx.set_phase(kPhaseAllgatherB);
-      b_flat = coll::allgather(fiber_b, layout.b_counts,
-                               fill_chunk_indexed<T>(layout.b),
-                               cfg.allgather);
-    } else {
-      ctx.set_phase(kPhaseLocalGemm);
-      Matrix<T> a_block(layout.a.rows, layout.a.cols);
-      std::copy(a_flat.begin(), a_flat.end(), a_block.data());
-      Matrix<T> b_block(layout.b.rows, layout.b.cols);
-      std::copy(b_flat.begin(), b_flat.end(), b_block.data());
-      const Matrix<T> d_block = gemm(a_block, b_block);
+  // Lines 3-4: identical to Algorithm 1.
+  if (t0 < 1) {
+    ctx.set_phase(kPhaseAllgatherA);
+    a_flat = coll::allgather(fiber_a, layout.a_counts,
+                             fill_chunk_indexed<T>(layout.a), cfg.allgather);
+    session.boundary(1, [&] { return snapshot_of<T>({a_flat}); });
+  }
+  if (t0 < 2) {
+    ctx.set_phase(kPhaseAllgatherB);
+    b_flat = coll::allgather(fiber_b, layout.b_counts,
+                             fill_chunk_indexed<T>(layout.b), cfg.allgather);
+    session.boundary(2, [&] { return snapshot_of<T>({a_flat, b_flat}); });
+  }
+  if (t0 < 3) {
+    ctx.set_phase(kPhaseLocalGemm);
+    Matrix<T> a_block(layout.a.rows, layout.a.cols);
+    std::copy(a_flat.begin(), a_flat.end(), a_block.data());
+    Matrix<T> b_block(layout.b.rows, layout.b.cols);
+    std::copy(b_flat.begin(), b_flat.end(), b_block.data());
+    const Matrix<T> d_block = gemm(a_block, b_block);
 
-      ctx.set_phase(kPhaseAlltoallC);
-      const int p2 = static_cast<int>(cfg.grid.p2);
-      std::vector<std::vector<T>> pieces(static_cast<std::size_t>(p2));
-      for (int t = 0; t < p2; ++t) {
-        const i64 off = coll::counts_offset(layout.c_counts, t);
-        const i64 len = layout.c_counts[static_cast<std::size_t>(t)];
-        pieces[static_cast<std::size_t>(t)].assign(
-            d_block.data() + off, d_block.data() + off + len);
-      }
-      const std::vector<std::vector<T>> received =
-          coll::alltoall(fiber_c, pieces, cfg.alltoall);
-      out.c_data.assign(static_cast<std::size_t>(layout.c.flat_size),
-                        ScalarTraits<T>::zero());
-      for (const auto& piece : received) {
-        CAMB_CHECK(static_cast<i64>(piece.size()) == layout.c.flat_size);
-        for (std::size_t j = 0; j < piece.size(); ++j) {
-          out.c_data[j] += piece[j];
-        }
-      }
+    // Line 8 the 1995 way: All-to-All the personalized D segments, sum after.
+    ctx.set_phase(kPhaseAlltoallC);
+    const int p2 = static_cast<int>(cfg.grid.p2);
+    std::vector<std::vector<T>> pieces(static_cast<std::size_t>(p2));
+    for (int t = 0; t < p2; ++t) {
+      const i64 off = coll::counts_offset(layout.c_counts, t);
+      const i64 len = layout.c_counts[static_cast<std::size_t>(t)];
+      pieces[static_cast<std::size_t>(t)].assign(d_block.data() + off,
+                                                 d_block.data() + off + len);
     }
-    session.boundary(step + 1, [&] {
-      SnapshotT<T> snap;
-      if (step == 0) {
-        snap.bufs = {a_flat};
-      } else if (step == 1) {
-        snap.bufs = {a_flat, b_flat};
-      } else {
-        snap.bufs = {out.c_data};
-      }
-      return snap;
-    });
+    const std::vector<std::vector<T>> received =
+        coll::alltoall(fiber_c, pieces, cfg.alltoall);
+    out.c_data.assign(static_cast<std::size_t>(layout.c.flat_size),
+                      ScalarTraits<T>::zero());
+    for (const auto& piece : received) {
+      CAMB_CHECK(static_cast<i64>(piece.size()) == layout.c.flat_size);
+      for (std::size_t j = 0; j < piece.size(); ++j) out.c_data[j] += piece[j];
+    }
+    session.boundary(3, [&] { return snapshot_of<T>({out.c_data}); });
   }
   return out;
 }
 
-#define CAMB_INSTANTIATE(T)                                  \
-  template Grid3dRankOutputT<T> grid3d_agarwal_ckpt_rank<T>( \
-      ckpt::SessionT<T>&, const Grid3dAgarwalConfig&);
+template <typename T>
+Grid3dRankOutputT<T> grid3d_agarwal_rank(RankCtx& ctx,
+                                         const Grid3dAgarwalConfig& cfg) {
+  ckpt::PlainSessionT<T> session(ctx);
+  return grid3d_agarwal_body<T>(session, cfg);
+}
+
+#define CAMB_INSTANTIATE(T)                                   \
+  template Grid3dRankOutputT<T> grid3d_agarwal_body<T>(       \
+      ckpt::PlainSessionT<T>&, const Grid3dAgarwalConfig&);   \
+  template Grid3dRankOutputT<T> grid3d_agarwal_body<T>(       \
+      ckpt::SessionT<T>&, const Grid3dAgarwalConfig&);        \
+  template Grid3dRankOutputT<T> grid3d_agarwal_rank<T>(       \
+      RankCtx&, const Grid3dAgarwalConfig&);
 CAMB_FOR_EACH_SCALAR(CAMB_INSTANTIATE)
 #undef CAMB_INSTANTIATE
 
@@ -169,15 +106,9 @@ i64 grid3d_agarwal_ckpt_steps(const Grid3dAgarwalConfig& cfg) {
 
 i64 grid3d_agarwal_ckpt_snapshot_words(const Grid3dAgarwalConfig& cfg,
                                        int logical, i64 step) {
-  const Grid3dConfig base{cfg.shape, cfg.grid, cfg.allgather,
-                          coll::ReduceScatterAlgo::kAuto};
-  const Grid3dLayout layout = grid3d_layout(base, logical);
-  if (step == 1) return snapshot_wire_words({layout.a.block_size()});
-  if (step == 2) {
-    return snapshot_wire_words(
-        {layout.a.block_size(), layout.b.block_size()});
-  }
-  return snapshot_wire_words({layout.c.flat_size});
+  // Algorithm 1's layout and boundary state, step for step.
+  return grid3d_ckpt_snapshot_words(Grid3dConfig{cfg.shape, cfg.grid},
+                                    logical, step);
 }
 
 i64 grid3d_agarwal_predicted_recv_words(const Grid3dAgarwalConfig& cfg,

@@ -27,8 +27,16 @@ struct Grid3dAgarwalConfig {
   coll::AlltoallAlgo alltoall = coll::AlltoallAlgo::kPairwise;
 };
 
-/// SPMD body for one rank; same data layout and output ownership as
-/// Algorithm 1 (grid3d_layout applies unchanged).
+/// The one SPMD body for either session; same data layout and output
+/// ownership as Algorithm 1 (grid3d_layout applies unchanged).  Under
+/// ckpt::SessionT it commits after the A all-gather, the B all-gather, and
+/// the gemm + all-to-all + local sum.  Instantiated for the
+/// CAMB_FOR_EACH_SCALAR set.
+template <typename T, typename Session>
+Grid3dRankOutputT<T> grid3d_agarwal_body(Session& session,
+                                         const Grid3dAgarwalConfig& cfg);
+
+/// grid3d_agarwal_body on a plain session.
 template <typename T = double>
 Grid3dRankOutputT<T> grid3d_agarwal_rank(RankCtx& ctx,
                                          const Grid3dAgarwalConfig& cfg);
@@ -37,12 +45,8 @@ Grid3dRankOutputT<T> grid3d_agarwal_rank(RankCtx& ctx,
 i64 grid3d_agarwal_predicted_recv_words(const Grid3dAgarwalConfig& cfg,
                                         int rank);
 
-/// Checkpointable twin: boundaries after the A all-gather, the B all-gather,
-/// and the gemm + all-to-all + local sum.
-template <typename T>
-Grid3dRankOutputT<T> grid3d_agarwal_ckpt_rank(ckpt::SessionT<T>& session,
-                                          const Grid3dAgarwalConfig& cfg);
-
+/// Boundary steps grid3d_agarwal_body announces, and the wire words of
+/// logical rank `logical`'s snapshot at boundary `step`.
 i64 grid3d_agarwal_ckpt_steps(const Grid3dAgarwalConfig& cfg);
 i64 grid3d_agarwal_ckpt_snapshot_words(const Grid3dAgarwalConfig& cfg,
                                        int logical, i64 step);

@@ -40,8 +40,15 @@ struct Grid3dStagedRankOutputT {
 };
 using Grid3dStagedRankOutput = Grid3dStagedRankOutputT<double>;
 
-/// SPMD body for one rank.  Templated over the scalar
-/// (CAMB_FOR_EACH_SCALAR set).
+/// The one SPMD body of the staged variant, for either session.  Under
+/// ckpt::SessionT it commits once after the up-front B all-gather, then
+/// once per stage (snapshots carry B plus every completed stage's C piece).
+/// Instantiated for the CAMB_FOR_EACH_SCALAR set.
+template <typename T, typename Session>
+Grid3dStagedRankOutputT<T> grid3d_staged_body(Session& session,
+                                              const Grid3dStagedConfig& cfg);
+
+/// grid3d_staged_body on a plain session.
 template <typename T = double>
 Grid3dStagedRankOutputT<T> grid3d_staged_rank(RankCtx& ctx,
                                               const Grid3dStagedConfig& cfg);
@@ -58,12 +65,8 @@ double grid3d_staged_peak_memory_words(const Grid3dStagedConfig& cfg);
 /// Message count per rank along the critical path (the latency price).
 i64 grid3d_staged_messages(const Grid3dStagedConfig& cfg, int rank);
 
-/// Checkpointable twin: one boundary after the up-front B all-gather, then
-/// one per stage (snapshots carry B plus every completed stage's C piece).
-template <typename T>
-Grid3dStagedRankOutputT<T> grid3d_staged_ckpt_rank(ckpt::SessionT<T>& session,
-                                               const Grid3dStagedConfig& cfg);
-
+/// Boundary steps grid3d_staged_body announces, and the wire words of
+/// logical rank `logical`'s snapshot at boundary `step`.
 i64 grid3d_staged_ckpt_steps(const Grid3dStagedConfig& cfg);
 i64 grid3d_staged_ckpt_snapshot_words(const Grid3dStagedConfig& cfg,
                                       int logical, i64 step);

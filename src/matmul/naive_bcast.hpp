@@ -17,9 +17,16 @@ struct NaiveBcastConfig {
   Shape shape;
 };
 
-/// SPMD body; returns rank's C row-slice (all ranks return their slice; the
-/// runner reassembles, mirroring the final gather onto rank 0).  Templated
-/// over the scalar (CAMB_FOR_EACH_SCALAR set).
+/// The one SPMD body for either session; returns the rank's C row-slice (all
+/// ranks return their slice; the runner reassembles, mirroring the final
+/// gather onto rank 0).  Under ckpt::SessionT it commits after the A
+/// broadcast, the B broadcast and the local gemm; the gather epilogue is not
+/// checkpointed.  Instantiated for the CAMB_FOR_EACH_SCALAR set.
+template <typename T, typename Session>
+Block2DOutputT<T> naive_bcast_body(Session& session,
+                                   const NaiveBcastConfig& cfg);
+
+/// naive_bcast_body on a plain session.
 template <typename T = double>
 Block2DOutputT<T> naive_bcast_rank(RankCtx& ctx, const NaiveBcastConfig& cfg);
 
@@ -27,12 +34,8 @@ Block2DOutputT<T> naive_bcast_rank(RankCtx& ctx, const NaiveBcastConfig& cfg);
 i64 naive_bcast_predicted_recv_words(const NaiveBcastConfig& cfg, int rank,
                                      int nprocs);
 
-/// Checkpointable twin: three boundary steps (A broadcast, B broadcast,
-/// local gemm) followed by the un-checkpointed gather epilogue.
-template <typename T>
-Block2DOutputT<T> naive_bcast_ckpt_rank(ckpt::SessionT<T>& session,
-                                    const NaiveBcastConfig& cfg);
-
+/// Boundary steps naive_bcast_body announces, and the wire words of logical
+/// rank `logical`'s snapshot at boundary `step`.
 i64 naive_bcast_ckpt_steps(const NaiveBcastConfig& cfg);
 i64 naive_bcast_ckpt_snapshot_words(const NaiveBcastConfig& cfg, int logical,
                                     int nprocs, i64 step);

@@ -5,6 +5,9 @@
 #include <cstring>
 #include <future>
 #include <limits>
+#include <mutex>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <type_traits>
 
@@ -387,6 +390,41 @@ bool contains(const std::vector<int>& ranks, int r) {
   return std::find(ranks.begin(), ranks.end(), r) != ranks.end();
 }
 
+/// The feature-composition rules, in one place.  Memory SDC needs a
+/// checksum correction path and a run that corrects instead of
+/// re-executing; elastic shrink-and-regrid is a recovery discipline of its
+/// own, rival to checkpoint/rollback.  Throws for a combination the
+/// algorithm cannot honour; otherwise returns whether the run is
+/// checkpointed.
+bool check_composition(const RunOptions& opts, const std::string& algo,
+                       bool abft, bool elastic) {
+  const bool checkpoint = opts.checkpoint.enabled();
+  const bool mem_sdc = opts.sdc.mem_rate > 0;
+  if (elastic && checkpoint) {
+    throw Error(algo +
+                ": elastic shrink-and-regrid does not compose with "
+                "checkpoint/rollback — rollback re-executes on the old grid, "
+                "elastic re-plans it; pick one recovery discipline");
+  }
+  if (elastic && mem_sdc) {
+    throw Error(algo +
+                ": memory-SDC injection (--sdc-mem-rate) requires a "
+                "checksum-augmented algorithm; the elastic twins recover by "
+                "re-execution, not correction");
+  }
+  if (!abft && mem_sdc) {
+    throw Error("memory-SDC injection (--sdc-mem-rate) requires a "
+                "checksum-augmented (ABFT) algorithm; " +
+                algo + " has no correction path");
+  }
+  if (checkpoint && mem_sdc) {
+    throw Error("memory-SDC injection (--sdc-mem-rate) does not compose with "
+                "checkpoint/rollback: rollback re-executes instead of "
+                "correcting, so the checksum repair path is never exercised");
+  }
+  return checkpoint;
+}
+
 /// Commit tax of a clean checkpointed run for logical rank L: at each
 /// committed epoch, L receives its ward's snapshot wire.  Zero when the
 /// buddy ring degenerates to self (stride ≡ 0 mod P): self-sends are free.
@@ -468,70 +506,6 @@ void fill_resilience_report(RunReport& report, camb::Machine& machine,
   }
 }
 
-/// Execute a checkpointed run: P + spares physical ranks each drive the
-/// rollback round loop around `body`; the per-logical outputs are collected
-/// under a mutex (re-executions overwrite bit-identical values).
-template <typename T, typename Output>
-std::vector<Output> run_checkpointed(
-    camb::Machine& machine, int P, const RunOptions& opts,
-    std::vector<ckpt::RunLog>& logs,
-    const std::function<Output(ckpt::SessionT<T>&)>& body) {
-  const CheckpointConfig& ck = opts.checkpoint;
-  ckpt::ResilientConfig rcfg;
-  rcfg.nprocs = P;
-  rcfg.spares = ck.spares;
-  rcfg.interval = ck.interval;
-  rcfg.buddy_stride = ck.buddy_stride;
-  std::vector<std::optional<Output>> results(static_cast<std::size_t>(P));
-  std::mutex results_mu;
-  logs.assign(static_cast<std::size_t>(P + ck.spares), {});
-  machine.run([&](camb::RankCtx& ctx) {
-    ckpt::run_resilient<T, Output>(ctx, rcfg, body, &results, &results_mu,
-                                   &logs[static_cast<std::size_t>(ctx.rank())]);
-  });
-  std::vector<Output> outputs;
-  outputs.reserve(static_cast<std::size_t>(P));
-  for (int L = 0; L < P; ++L) {
-    CAMB_CHECK_MSG(results[static_cast<std::size_t>(L)].has_value(),
-                   "checkpointed run ended without an output for a logical "
-                   "rank");
-    outputs.push_back(std::move(*results[static_cast<std::size_t>(L)]));
-  }
-  return outputs;
-}
-
-/// The whole checkpointed-run recipe minus output assembly: machine with
-/// spares, rollback loop, measurement, resilience record, prediction.
-template <typename T, typename Output>
-RunReport run_ckpt_common(int P, const RunOptions& opts, double bound,
-                          i64 steps,
-                          const std::function<i64(int)>& base_pred,
-                          const std::function<i64(int, i64)>& snap_words,
-                          const std::function<Output(ckpt::SessionT<T>&)>& body,
-                          std::vector<Output>& outputs) {
-  camb::Machine machine(P + opts.checkpoint.spares,
-                        opts.perturb.machine_seed());
-  configure_machine(machine, opts);
-  std::vector<ckpt::RunLog> logs;
-  outputs = run_checkpointed<T, Output>(machine, P, opts, logs, body);
-  RunReport report = report_from_machine(machine, opts);
-  fill_resilience_report(report, machine, opts, logs, P, steps, base_pred,
-                         snap_words);
-  report.lower_bound_words = bound;
-  return report;
-}
-
-/// Memory SDC has no transport to heal it — only the ABFT checksum
-/// correction can.  Algorithms without the encoding reject the request up
-/// front instead of returning a silently wrong answer.
-void reject_mem_sdc(const RunOptions& opts, const char* algo) {
-  if (opts.sdc.mem_rate > 0) {
-    throw Error(std::string("memory-SDC injection (--sdc-mem-rate) requires a "
-                            "checksum-augmented (ABFT) algorithm; ") +
-                algo + " has no correction path");
-  }
-}
-
 /// Flip one low bit of the integer value at a seeded position of `data`
 /// when rank `rank`'s memory-SDC coin lands.  The draw chain is a pure
 /// function of (mem_seed, rank), so a corruption scenario replays from the
@@ -541,10 +515,10 @@ void reject_mem_sdc(const RunOptions& opts, const char* algo) {
 /// exact — which is what makes the repair bit-exact.
 template <typename T>
 bool maybe_flip_entry(std::uint64_t mem_seed, int rank, double rate,
-                      T* data, i64 size) {
+                      std::span<T> data) {
   Rng rng(mem_seed, static_cast<std::uint64_t>(rank));
-  if (rng.uniform() >= rate || size == 0) return false;
-  const i64 idx = static_cast<i64>(rng.below(static_cast<std::uint64_t>(size)));
+  if (rng.uniform() >= rate || data.empty()) return false;
+  const auto idx = static_cast<std::size_t>(rng.below(data.size()));
   const int bit = static_cast<int>(rng.below(16));
   const i64 value =
       static_cast<i64>(std::llround(ScalarTraits<T>::to_double(data[idx])));
@@ -557,30 +531,6 @@ bool maybe_flip_entry(std::uint64_t mem_seed, int rank, double rate,
   return true;
 }
 
-/// Fold a correction pass's outcome into the report and the per-rank
-/// correction counters.
-void record_correction(RunReport& report, camb::Machine& machine,
-                       const AbftCorrection& corr, i64 mem_flips) {
-  report.corruption.injected_mem_flips = mem_flips;
-  report.corruption.detected_by_checksums = corr.detected;
-  report.corruption.corrected_by_abft = corr.corrected;
-  report.corruption.escaped = corr.uncorrected;
-  for (int r : corr.corrected_ranks) {
-    machine.stats().transport_mut(r).corrections += 1;
-  }
-}
-
-template <typename T>
-void verify_block2d(const Shape& shape,
-                    const std::vector<Block2DOutputT<T>>& outs,
-                    const RunOptions& opts, RunReport& report,
-                    bool integer_inputs = false) {
-  if (opts.verify == VerifyMode::kNone) return;
-  Matrix<T> c(shape.n1, shape.n3);
-  for (const auto& out : outs) c.set_block(out.row0, out.col0, out.block);
-  verify_assembled<T>(shape, c, opts.verify, integer_inputs, report);
-}
-
 /// The Theorem 3 bound for (shape, P), scaled into the run's words: the
 /// theory counts elements, the machine counts 8-byte words.
 double lower_bound_for(const Shape& shape, i64 nprocs,
@@ -591,477 +541,148 @@ double lower_bound_for(const Shape& shape, i64 nprocs,
          dtype_width_words(opts.dtype);
 }
 
-template <typename T>
-RunReport run_grid3d_t(const Grid3dConfig& cfg, const RunOptions& opts) {
-  reject_mem_sdc(opts, "grid3d");
-  const i64 P = cfg.grid.total();
-  const double bound = lower_bound_for(cfg.shape, P, opts);
-  if (opts.checkpoint.enabled()) {
-    std::vector<Grid3dRankOutputT<T>> outputs;
-    RunReport report = run_ckpt_common<T, Grid3dRankOutputT<T>>(
-        static_cast<int>(P), opts, bound, grid3d_ckpt_steps(cfg),
-        [&](int L) { return grid3d_predicted_recv_words(cfg, L); },
-        [&](int L, i64 s) { return grid3d_ckpt_snapshot_words(cfg, L, s); },
-        [&](ckpt::SessionT<T>& s) { return grid3d_ckpt_rank<T>(s, cfg); },
-        outputs);
-    if (opts.verify != VerifyMode::kNone) {
-      Matrix<T> c(cfg.shape.n1, cfg.shape.n3);
-      for (const auto& out : outputs) place_chunk<T>(c, out.c_chunk, out.c_data);
-      verify_assembled<T>(cfg.shape, c, opts.verify, cfg.integer_inputs,
-                          report);
-    }
-    return report;
-  }
-  camb::Machine machine(static_cast<int>(P), opts.perturb.machine_seed());
-  configure_machine(machine, opts);
-  std::vector<Grid3dRankOutputT<T>> outputs(static_cast<std::size_t>(P));
-  machine.run([&](camb::RankCtx& ctx) {
-    outputs[static_cast<std::size_t>(ctx.rank())] = grid3d_rank<T>(ctx, cfg);
-  });
-  RunReport report = report_from_machine(machine, opts);
-  report.predicted_critical_recv = grid3d_predicted_critical_recv_words(cfg);
-  report.lower_bound_words = bound;
-  if (opts.verify != VerifyMode::kNone) {
-    Matrix<T> c(cfg.shape.n1, cfg.shape.n3);
-    for (const auto& out : outputs) place_chunk<T>(c, out.c_chunk, out.c_data);
-    verify_assembled<T>(cfg.shape, c, opts.verify, cfg.integer_inputs, report);
-  }
-  return report;
-}
+/// What the one runner needs to know about an algorithm besides its body.
+template <typename T, typename Output>
+struct AlgorithmSpec {
+  std::string name;  ///< as named in composition errors
+  Shape shape;
+  int nprocs = 0;
+  /// Exact received elements of (logical) rank r on a fault-free run.
+  std::function<i64(int)> predict;
+  /// Control words on every rank's fault-free critical path of a plain run
+  /// (the ABFT shrink agreement: fixed 8-byte mask payloads).
+  i64 control_words = 0;
+  /// Boundary steps the body announces, and the wire elements of logical
+  /// rank L's snapshot at boundary `step` (the checkpoint commit tax).
+  i64 steps = 0;
+  std::function<i64(int, i64)> snapshot_words;
+  /// Inputs use the integer-valued pattern (what the check regenerates).
+  bool integer_inputs = false;
+  /// Checksum-augmented algorithms only: the output tile a memory-SDC flip
+  /// lands in, and the single-error correction pass over every output.
+  std::function<std::span<T>(Output&)> tile = {};
+  std::function<AbftCorrection(std::vector<Output>&)> correct = {};
+  /// Place one rank's output into the assembled C.
+  std::function<void(Matrix<T>&, const Output&)> place;
 
-template <typename T>
-RunReport run_grid3d_staged_t(const Grid3dStagedConfig& cfg,
-                              const RunOptions& opts) {
-  reject_mem_sdc(opts, "grid3d_staged");
-  const i64 P = cfg.grid.total();
-  const double bound = lower_bound_for(cfg.shape, P, opts);
-  if (opts.checkpoint.enabled()) {
-    std::vector<Grid3dStagedRankOutputT<T>> outputs;
-    RunReport report = run_ckpt_common<T, Grid3dStagedRankOutputT<T>>(
-        static_cast<int>(P), opts, bound, grid3d_staged_ckpt_steps(cfg),
-        [&](int L) { return grid3d_staged_predicted_recv_words(cfg, L); },
-        [&](int L, i64 s) {
-          return grid3d_staged_ckpt_snapshot_words(cfg, L, s);
-        },
-        [&](ckpt::SessionT<T>& s) {
-          return grid3d_staged_ckpt_rank<T>(s, cfg);
-        },
-        outputs);
-    if (opts.verify != VerifyMode::kNone) {
-      Matrix<T> c(cfg.shape.n1, cfg.shape.n3);
-      for (const auto& out : outputs) {
-        for (std::size_t s = 0; s < out.c_chunks.size(); ++s) {
-          place_chunk<T>(c, out.c_chunks[s], out.c_data[s]);
+  bool abft() const { return static_cast<bool>(correct); }
+};
+
+/// The one runner: builds the machine (with spares when checkpointing), runs
+/// `body` under the matching session — body(ckpt::PlainSessionT<T>&) or,
+/// inside the rollback round loop, body(ckpt::SessionT<T>&) — measures,
+/// predicts (max over ranks, plus the commit tax and agreement flood when
+/// checkpointing), runs the ABFT correction pass, then assembles and
+/// verifies C.
+template <typename T, typename Output, typename Body>
+RunReport run_algorithm(const AlgorithmSpec<T, Output>& spec,
+                        const RunOptions& opts, Body&& body) {
+  const bool checkpoint =
+      check_composition(opts, spec.name, spec.abft(), /*elastic=*/false);
+  const int P = spec.nprocs;
+  const CheckpointConfig& ck = opts.checkpoint;
+  camb::Machine machine(P + (checkpoint ? ck.spares : 0),
+                        opts.perturb.machine_seed());
+  configure_machine(machine, opts);
+  std::vector<Output> outputs(static_cast<std::size_t>(P));
+  std::vector<ckpt::RunLog> logs;
+  if (checkpoint) {
+    // P + spares physical ranks each drive the rollback round loop; the
+    // per-logical outputs are collected under a mutex (re-executions
+    // overwrite bit-identical values).
+    const ckpt::ResilientConfig rcfg{P, ck.spares, ck.interval,
+                                     ck.buddy_stride};
+    std::vector<std::optional<Output>> results(static_cast<std::size_t>(P));
+    std::mutex results_mu;
+    logs.assign(static_cast<std::size_t>(P + ck.spares), {});
+    machine.run([&](camb::RankCtx& ctx) {
+      ckpt::run_resilient<T, Output>(
+          ctx, rcfg, body, &results, &results_mu,
+          &logs[static_cast<std::size_t>(ctx.rank())]);
+    });
+    for (int L = 0; L < P; ++L) {
+      std::optional<Output>& result = results[static_cast<std::size_t>(L)];
+      CAMB_CHECK_MSG(result.has_value(),
+                     "checkpointed run ended without an output for a logical "
+                     "rank");
+      outputs[static_cast<std::size_t>(L)] = std::move(*result);
+    }
+  } else {
+    machine.run([&](camb::RankCtx& ctx) {
+      ckpt::PlainSessionT<T> session(ctx);
+      outputs[static_cast<std::size_t>(ctx.rank())] = body(session);
+    });
+  }
+
+  RunReport report = report_from_machine(machine, opts);
+  report.lower_bound_words = lower_bound_for(spec.shape, P, opts);
+  if (checkpoint) {
+    fill_resilience_report(report, machine, opts, logs, P, spec.steps,
+                           spec.predict, spec.snapshot_words);
+  } else {
+    // Data elements (dtype-scaled) and control words (fixed, identical on
+    // every rank — so the split commutes with the max).
+    i64 predicted = 0;
+    for (int r = 0; r < P; ++r) {
+      predicted = std::max(predicted, spec.predict(r));
+    }
+    report.predicted_critical_recv = predicted;
+    report.predicted_control_words = spec.control_words;
+  }
+
+  const std::vector<int>& crashed = machine.crash_outcome().crashed;
+  if (spec.abft()) {
+    report.recovery.abft = true;
+    if (report.lower_bound_words > 0) {
+      report.recovery.overhead_ratio =
+          report.measured_critical_recv / report.lower_bound_words;
+    }
+    // The correction pass also runs under message-only SDC: a clean
+    // syndrome set is the proof that the transport let nothing through.
+    if (!checkpoint && opts.sdc.enabled() && crashed.empty()) {
+      const std::uint64_t mem_seed =
+          opts.sdc.mem_seed(opts.perturb.master_seed);
+      i64 mem_flips = 0;
+      for (int r = 0; r < P && opts.sdc.mem_rate > 0; ++r) {
+        Output& out = outputs[static_cast<std::size_t>(r)];
+        if (maybe_flip_entry<T>(mem_seed, r, opts.sdc.mem_rate,
+                                spec.tile(out))) {
+          ++mem_flips;
         }
       }
-      verify_assembled<T>(cfg.shape, c, opts.verify, false, report);
+      const AbftCorrection corr = spec.correct(outputs);
+      report.corruption.injected_mem_flips = mem_flips;
+      report.corruption.detected_by_checksums = corr.detected;
+      report.corruption.corrected_by_abft = corr.corrected;
+      report.corruption.escaped = corr.uncorrected;
+      for (int r : corr.corrected_ranks) {
+        machine.stats().transport_mut(r).corrections += 1;
+      }
     }
-    return report;
   }
-  camb::Machine machine(static_cast<int>(P), opts.perturb.machine_seed());
-  configure_machine(machine, opts);
-  std::vector<Grid3dStagedRankOutputT<T>> outputs(
-      static_cast<std::size_t>(P));
-  machine.run([&](camb::RankCtx& ctx) {
-    outputs[static_cast<std::size_t>(ctx.rank())] =
-        grid3d_staged_rank<T>(ctx, cfg);
-  });
-  RunReport report = report_from_machine(machine, opts);
-  i64 predicted = 0;
-  for (i64 r = 0; r < P; ++r) {
-    predicted = std::max(predicted, grid3d_staged_predicted_recv_words(
-                                        cfg, static_cast<int>(r)));
-  }
-  report.predicted_critical_recv = predicted;
-  report.lower_bound_words = bound;
+
   if (opts.verify != VerifyMode::kNone) {
-    Matrix<T> c(cfg.shape.n1, cfg.shape.n3);
-    for (const auto& out : outputs) {
-      for (std::size_t s = 0; s < out.c_chunks.size(); ++s) {
-        place_chunk<T>(c, out.c_chunks[s], out.c_data[s]);
-      }
+    Matrix<T> c(spec.shape.n1, spec.shape.n3);
+    for (int r = 0; r < P; ++r) {
+      // A crashed rank of a plain run left no output; checkpointed outputs
+      // are indexed by logical rank and all present.
+      if (!checkpoint && contains(crashed, r)) continue;
+      spec.place(c, outputs[static_cast<std::size_t>(r)]);
     }
-    verify_assembled<T>(cfg.shape, c, opts.verify, false, report);
+    verify_assembled<T>(spec.shape, c, opts.verify, spec.integer_inputs,
+                        report);
   }
   return report;
 }
 
 template <typename T>
-RunReport run_grid3d_agarwal_t(const Grid3dAgarwalConfig& cfg,
-                               const RunOptions& opts) {
-  reject_mem_sdc(opts, "grid3d_agarwal");
-  const i64 P = cfg.grid.total();
-  const double bound = lower_bound_for(cfg.shape, P, opts);
-  if (opts.checkpoint.enabled()) {
-    std::vector<Grid3dRankOutputT<T>> outputs;
-    RunReport report = run_ckpt_common<T, Grid3dRankOutputT<T>>(
-        static_cast<int>(P), opts, bound, grid3d_agarwal_ckpt_steps(cfg),
-        [&](int L) { return grid3d_agarwal_predicted_recv_words(cfg, L); },
-        [&](int L, i64 s) {
-          return grid3d_agarwal_ckpt_snapshot_words(cfg, L, s);
-        },
-        [&](ckpt::SessionT<T>& s) {
-          return grid3d_agarwal_ckpt_rank<T>(s, cfg);
-        },
-        outputs);
-    if (opts.verify != VerifyMode::kNone) {
-      Matrix<T> c(cfg.shape.n1, cfg.shape.n3);
-      for (const auto& out : outputs) place_chunk<T>(c, out.c_chunk, out.c_data);
-      verify_assembled<T>(cfg.shape, c, opts.verify, false, report);
-    }
-    return report;
-  }
-  camb::Machine machine(static_cast<int>(P), opts.perturb.machine_seed());
-  configure_machine(machine, opts);
-  std::vector<Grid3dRankOutputT<T>> outputs(static_cast<std::size_t>(P));
-  machine.run([&](camb::RankCtx& ctx) {
-    outputs[static_cast<std::size_t>(ctx.rank())] =
-        grid3d_agarwal_rank<T>(ctx, cfg);
-  });
-  RunReport report = report_from_machine(machine, opts);
-  i64 predicted = 0;
-  for (i64 r = 0; r < P; ++r) {
-    predicted = std::max(predicted, grid3d_agarwal_predicted_recv_words(
-                                        cfg, static_cast<int>(r)));
-  }
-  report.predicted_critical_recv = predicted;
-  report.lower_bound_words = bound;
-  if (opts.verify != VerifyMode::kNone) {
-    Matrix<T> c(cfg.shape.n1, cfg.shape.n3);
-    for (const auto& out : outputs) place_chunk<T>(c, out.c_chunk, out.c_data);
-    verify_assembled<T>(cfg.shape, c, opts.verify, false, report);
-  }
-  return report;
+void place_block(Matrix<T>& c, const Block2DOutputT<T>& out) {
+  c.set_block(out.row0, out.col0, out.block);
 }
 
 template <typename T>
-RunReport run_carma_t(const CarmaConfig& cfg, const RunOptions& opts) {
-  reject_mem_sdc(opts, "carma");
-  const i64 P = i64{1} << cfg.levels;
-  const double bound = lower_bound_for(cfg.shape, P, opts);
-  if (opts.checkpoint.enabled()) {
-    const std::vector<i64> base = carma_predicted_recv_words(cfg);
-    std::vector<CarmaRankOutputT<T>> outputs;
-    RunReport report = run_ckpt_common<T, CarmaRankOutputT<T>>(
-        static_cast<int>(P), opts, bound, carma_ckpt_steps(cfg),
-        [&](int L) { return base[static_cast<std::size_t>(L)]; },
-        [&](int L, i64 s) { return carma_ckpt_snapshot_words(cfg, L, s); },
-        [&](ckpt::SessionT<T>& s) { return carma_ckpt_rank<T>(s, cfg); },
-        outputs);
-    if (opts.verify != VerifyMode::kNone) {
-      Matrix<T> c(cfg.shape.n1, cfg.shape.n3);
-      for (const auto& out : outputs) place_chunk<T>(c, out.holding, out.data);
-      verify_assembled<T>(cfg.shape, c, opts.verify, false, report);
-    }
-    return report;
-  }
-  camb::Machine machine(static_cast<int>(P), opts.perturb.machine_seed());
-  configure_machine(machine, opts);
-  std::vector<CarmaRankOutputT<T>> outputs(static_cast<std::size_t>(P));
-  machine.run([&](camb::RankCtx& ctx) {
-    outputs[static_cast<std::size_t>(ctx.rank())] = carma_rank<T>(ctx, cfg);
-  });
-  RunReport report = report_from_machine(machine, opts);
-  const std::vector<i64> predicted = carma_predicted_recv_words(cfg);
-  report.predicted_critical_recv = 0;
-  for (i64 w : predicted) {
-    report.predicted_critical_recv = std::max(report.predicted_critical_recv, w);
-  }
-  report.lower_bound_words = bound;
-  if (opts.verify != VerifyMode::kNone) {
-    Matrix<T> c(cfg.shape.n1, cfg.shape.n3);
-    for (const auto& out : outputs) place_chunk<T>(c, out.holding, out.data);
-    verify_assembled<T>(cfg.shape, c, opts.verify, false, report);
-  }
-  return report;
-}
-
-template <typename T>
-RunReport run_block2d(
-    const Shape& shape, i64 nprocs, const RunOptions& opts, double lower_bound,
-    i64 predicted,
-    const std::function<Block2DOutputT<T>(camb::RankCtx&)>& body,
-    bool integer_inputs = false) {
-  camb::Machine machine(static_cast<int>(nprocs), opts.perturb.machine_seed());
-  configure_machine(machine, opts);
-  std::vector<Block2DOutputT<T>> outputs(static_cast<std::size_t>(nprocs));
-  machine.run([&](camb::RankCtx& ctx) {
-    outputs[static_cast<std::size_t>(ctx.rank())] = body(ctx);
-  });
-  RunReport report = report_from_machine(machine, opts);
-  report.predicted_critical_recv = predicted;
-  report.lower_bound_words = lower_bound;
-  verify_block2d<T>(shape, outputs, opts, report, integer_inputs);
-  return report;
-}
-
-template <typename T>
-RunReport run_alg25d_t(const Alg25dConfig& cfg, const RunOptions& opts) {
-  reject_mem_sdc(opts, "alg25d");
-  const i64 P = cfg.g * cfg.g * cfg.c;
-  i64 predicted = 0;
-  for (i64 r = 0; r < P; ++r) {
-    predicted = std::max(
-        predicted, alg25d_predicted_recv_words(cfg, static_cast<int>(r)));
-  }
-  const double bound = lower_bound_for(cfg.shape, P, opts);
-  if (opts.checkpoint.enabled()) {
-    std::vector<Block2DOutputT<T>> outputs;
-    RunReport report = run_ckpt_common<T, Block2DOutputT<T>>(
-        static_cast<int>(P), opts, bound, alg25d_ckpt_steps(cfg),
-        [&](int L) { return alg25d_predicted_recv_words(cfg, L); },
-        [&](int L, i64 s) { return alg25d_ckpt_snapshot_words(cfg, L, s); },
-        [&](ckpt::SessionT<T>& s) { return alg25d_ckpt_rank<T>(s, cfg); },
-        outputs);
-    verify_block2d<T>(cfg.shape, outputs, opts, report,
-                      /*integer_inputs=*/cfg.integer_inputs);
-    return report;
-  }
-  return run_block2d<T>(cfg.shape, P, opts, bound, predicted,
-                        [&](camb::RankCtx& ctx) {
-                          return alg25d_rank<T>(ctx, cfg);
-                        },
-                        cfg.integer_inputs);
-}
-
-template <typename T>
-RunReport run_summa_t(const SummaConfig& cfg, const RunOptions& opts) {
-  reject_mem_sdc(opts, "summa");
-  const i64 P = cfg.g * cfg.g;
-  i64 predicted = 0;
-  for (i64 r = 0; r < P; ++r) {
-    predicted = std::max(
-        predicted, summa_predicted_recv_words(cfg, static_cast<int>(r)));
-  }
-  const double bound = lower_bound_for(cfg.shape, P, opts);
-  if (opts.checkpoint.enabled()) {
-    std::vector<Block2DOutputT<T>> outputs;
-    RunReport report = run_ckpt_common<T, Block2DOutputT<T>>(
-        static_cast<int>(P), opts, bound, summa_ckpt_steps(cfg),
-        [&](int L) { return summa_predicted_recv_words(cfg, L); },
-        [&](int L, i64 s) { return summa_ckpt_snapshot_words(cfg, L, s); },
-        [&](ckpt::SessionT<T>& s) { return summa_ckpt_rank<T>(s, cfg); },
-        outputs);
-    verify_block2d<T>(cfg.shape, outputs, opts, report,
-                      /*integer_inputs=*/cfg.integer_inputs);
-    return report;
-  }
-  return run_block2d<T>(cfg.shape, P, opts, bound, predicted,
-                        [&](camb::RankCtx& ctx) {
-                          return summa_rank<T>(ctx, cfg);
-                        },
-                        cfg.integer_inputs);
-}
-
-template <typename T>
-RunReport run_summa_abft_t(const SummaAbftConfig& cfg,
-                           const RunOptions& opts) {
-  const i64 P = cfg.base.g * cfg.base.g;
-  constexpr bool int_inputs = abft_integer_inputs<T>();
-  if (opts.checkpoint.enabled() && opts.sdc.mem_rate > 0) {
-    throw Error("memory-SDC injection (--sdc-mem-rate) does not compose with "
-                "checkpoint/rollback: rollback re-executes instead of "
-                "correcting, so the checksum repair path is never exercised");
-  }
-  const double bound = lower_bound_for(cfg.base.shape, P, opts);
-  if (opts.checkpoint.enabled()) {
-    std::vector<SummaAbftOutputT<T>> outputs;
-    RunReport report = run_ckpt_common<T, SummaAbftOutputT<T>>(
-        static_cast<int>(P), opts, bound, summa_abft_ckpt_steps(cfg),
-        [&](int L) { return summa_abft_ckpt_base_recv_words(cfg, L); },
-        [&](int L, i64 s) {
-          return summa_abft_ckpt_snapshot_words(cfg, L, s);
-        },
-        [&](ckpt::SessionT<T>& s) { return summa_abft_ckpt_rank<T>(s, cfg); },
-        outputs);
-    report.recovery.abft = true;
-    if (report.lower_bound_words > 0) {
-      report.recovery.overhead_ratio =
-          report.measured_critical_recv / report.lower_bound_words;
-    }
-    std::vector<Block2DOutputT<T>> blocks;
-    for (const auto& out : outputs) blocks.push_back(out.own);
-    verify_block2d<T>(cfg.base.shape, blocks, opts, report,
-                      /*integer_inputs=*/int_inputs);
-    return report;
-  }
-  camb::Machine machine(static_cast<int>(P), opts.perturb.machine_seed());
-  configure_machine(machine, opts);
-  std::vector<SummaAbftOutputT<T>> outputs(static_cast<std::size_t>(P));
-  machine.run([&](camb::RankCtx& ctx) {
-    outputs[static_cast<std::size_t>(ctx.rank())] =
-        summa_abft_rank<T>(ctx, cfg);
-  });
-  RunReport report = report_from_machine(machine, opts);
-  report.recovery.abft = true;
-  // Split the fault-free prediction into data elements (dtype-scaled) and
-  // the shrink agreement's control words (fixed 8-byte mask payloads,
-  // identical on every rank — so the split commutes with the max).
-  i64 predicted = 0;
-  for (i64 r = 0; r < P; ++r) {
-    predicted = std::max(
-        predicted, summa_abft_ckpt_base_recv_words(cfg, static_cast<int>(r)));
-  }
-  report.predicted_critical_recv = predicted;  // fault-free prediction
-  report.predicted_control_words = coll::shrink_recv_words_exact(
-      static_cast<int>(P), cfg.max_failures);
-  report.lower_bound_words = bound;
-  if (report.lower_bound_words > 0) {
-    report.recovery.overhead_ratio =
-        report.measured_critical_recv / report.lower_bound_words;
-  }
-  if (opts.sdc.enabled() && !machine.crash_outcome().any_crashed()) {
-    i64 mem_flips = 0;
-    for (i64 r = 0; r < P; ++r) {
-      Matrix<T>& tile = outputs[static_cast<std::size_t>(r)].own.block;
-      if (opts.sdc.mem_rate > 0 &&
-          maybe_flip_entry<T>(opts.sdc.mem_seed(opts.perturb.master_seed),
-                              static_cast<int>(r), opts.sdc.mem_rate,
-                              tile.data(), tile.size())) {
-        ++mem_flips;
-      }
-    }
-    // The correction pass also runs under message-only SDC: a clean syndrome
-    // set is the proof that the transport let nothing through.
-    const AbftCorrection corr = summa_abft_correct<T>(cfg, outputs);
-    record_correction(report, machine, corr, mem_flips);
-  }
-  if (opts.verify != VerifyMode::kNone) {
-    Matrix<T> c(cfg.base.shape.n1, cfg.base.shape.n3);
-    const std::vector<int>& crashed = machine.crash_outcome().crashed;
-    for (i64 r = 0; r < P; ++r) {
-      const SummaAbftOutputT<T>& out = outputs[static_cast<std::size_t>(r)];
-      if (contains(crashed, static_cast<int>(r))) continue;
-      c.set_block(out.own.row0, out.own.col0, out.own.block);
-      for (const RecoveredBlock2DT<T>& rec : out.recovered) {
-        c.set_block(rec.out.row0, rec.out.col0, rec.out.block);
-      }
-    }
-    verify_assembled<T>(cfg.base.shape, c, opts.verify, int_inputs, report);
-  }
-  return report;
-}
-
-template <typename T>
-RunReport run_grid3d_abft_t(const Grid3dAbftConfig& cfg,
-                            const RunOptions& opts) {
-  const i64 P = cfg.base.grid.total();
-  constexpr bool int_inputs = abft_integer_inputs<T>();
-  if (opts.checkpoint.enabled() && opts.sdc.mem_rate > 0) {
-    throw Error("memory-SDC injection (--sdc-mem-rate) does not compose with "
-                "checkpoint/rollback: rollback re-executes instead of "
-                "correcting, so the checksum repair path is never exercised");
-  }
-  const double bound = lower_bound_for(cfg.base.shape, P, opts);
-  if (opts.checkpoint.enabled()) {
-    std::vector<Grid3dAbftOutputT<T>> outputs;
-    RunReport report = run_ckpt_common<T, Grid3dAbftOutputT<T>>(
-        static_cast<int>(P), opts, bound, grid3d_abft_ckpt_steps(cfg),
-        [&](int L) { return grid3d_abft_ckpt_base_recv_words(cfg, L); },
-        [&](int L, i64 s) {
-          return grid3d_abft_ckpt_snapshot_words(cfg, L, s);
-        },
-        [&](ckpt::SessionT<T>& s) { return grid3d_abft_ckpt_rank<T>(s, cfg); },
-        outputs);
-    report.recovery.abft = true;
-    if (report.lower_bound_words > 0) {
-      report.recovery.overhead_ratio =
-          report.measured_critical_recv / report.lower_bound_words;
-    }
-    if (opts.verify != VerifyMode::kNone) {
-      Matrix<T> c(cfg.base.shape.n1, cfg.base.shape.n3);
-      for (const auto& out : outputs) {
-        place_chunk<T>(c, out.own.c_chunk, out.own.c_data);
-      }
-      verify_assembled<T>(cfg.base.shape, c, opts.verify, int_inputs, report);
-    }
-    return report;
-  }
-  camb::Machine machine(static_cast<int>(P), opts.perturb.machine_seed());
-  configure_machine(machine, opts);
-  std::vector<Grid3dAbftOutputT<T>> outputs(static_cast<std::size_t>(P));
-  machine.run([&](camb::RankCtx& ctx) {
-    outputs[static_cast<std::size_t>(ctx.rank())] =
-        grid3d_abft_rank<T>(ctx, cfg);
-  });
-  RunReport report = report_from_machine(machine, opts);
-  report.recovery.abft = true;
-  // Same data/control split as summa_abft: the shrink flood's mask words
-  // are dtype-independent control traffic.
-  i64 predicted = 0;
-  for (i64 r = 0; r < P; ++r) {
-    predicted = std::max(
-        predicted, grid3d_abft_ckpt_base_recv_words(cfg, static_cast<int>(r)));
-  }
-  report.predicted_critical_recv = predicted;  // fault-free prediction
-  report.predicted_control_words = coll::shrink_recv_words_exact(
-      static_cast<int>(P), cfg.max_failures);
-  report.lower_bound_words = bound;
-  if (report.lower_bound_words > 0) {
-    report.recovery.overhead_ratio =
-        report.measured_critical_recv / report.lower_bound_words;
-  }
-  if (opts.sdc.enabled() && !machine.crash_outcome().any_crashed()) {
-    i64 mem_flips = 0;
-    for (i64 r = 0; r < P; ++r) {
-      std::vector<T>& data = outputs[static_cast<std::size_t>(r)].own.c_data;
-      if (opts.sdc.mem_rate > 0 &&
-          maybe_flip_entry<T>(opts.sdc.mem_seed(opts.perturb.master_seed),
-                              static_cast<int>(r), opts.sdc.mem_rate,
-                              data.data(), static_cast<i64>(data.size()))) {
-        ++mem_flips;
-      }
-    }
-    // The parity syndrome localizes the corrupted element but not which
-    // fiber member holds it; one exact reference dot product per candidate
-    // disambiguates.  The dot product is exact in every dtype: the inputs
-    // are integer-valued (natively for exact scalars, by the smallness of
-    // the integer pattern otherwise).
-    Matrix<T> a, b;
-    fill_inputs<T>(cfg.base.shape, int_inputs, a, b);
-    const AbftCorrection corr = grid3d_abft_correct<T>(
-        cfg, outputs, [&](i64 row, i64 col) {
-          T acc = ScalarTraits<T>::zero();
-          for (i64 k = 0; k < cfg.base.shape.n2; ++k) {
-            acc += a(row, k) * b(k, col);
-          }
-          return acc;
-        });
-    record_correction(report, machine, corr, mem_flips);
-  }
-  if (opts.verify != VerifyMode::kNone) {
-    Matrix<T> c(cfg.base.shape.n1, cfg.base.shape.n3);
-    const std::vector<int>& crashed = machine.crash_outcome().crashed;
-    for (i64 r = 0; r < P; ++r) {
-      const Grid3dAbftOutputT<T>& out = outputs[static_cast<std::size_t>(r)];
-      if (contains(crashed, static_cast<int>(r))) continue;
-      place_chunk<T>(c, out.own.c_chunk, out.own.c_data);
-      for (const RecoveredChunk3DT<T>& rec : out.recovered) {
-        place_chunk<T>(c, rec.c_chunk, rec.c_data);
-      }
-    }
-    verify_assembled<T>(cfg.base.shape, c, opts.verify, int_inputs, report);
-  }
-  return report;
-}
-
-/// Elastic mode is a recovery discipline of its own: it cannot stack with
-/// checkpoint/rollback (which re-executes on the OLD grid — the opposite
-/// answer to the same failure) or with memory-SDC injection (which needs a
-/// checksum-augmented algorithm to exercise the correction path).
-void reject_elastic_conflicts(const RunOptions& opts, const char* algo) {
-  if (opts.checkpoint.enabled()) {
-    throw Error(std::string(algo) +
-                ": elastic shrink-and-regrid does not compose with "
-                "checkpoint/rollback — rollback re-executes on the old grid, "
-                "elastic re-plans it; pick one recovery discipline");
-  }
-  if (opts.sdc.mem_rate > 0) {
-    throw Error(std::string(algo) +
-                ": memory-SDC injection (--sdc-mem-rate) requires a "
-                "checksum-augmented algorithm; the elastic twins recover by "
-                "re-execution, not correction");
-  }
+void place_grid3d(Matrix<T>& c, const Grid3dRankOutputT<T>& out) {
+  place_chunk<T>(c, out.c_chunk, out.c_data);
 }
 
 /// Shared elastic driver: run the per-rank elastic twin on a counted
@@ -1070,9 +691,10 @@ void reject_elastic_conflicts(const RunOptions& opts, const char* algo) {
 /// attempt-0 tiles and recovery-round tiles overlap bit-identically, so
 /// placement order does not matter).
 template <typename T, typename RankFn, typename PredictFn>
-RunReport run_elastic_common(const Shape& shape, i64 P, bool int_inputs,
-                             const RunOptions& opts, RankFn&& rank_fn,
-                             PredictFn&& predict) {
+RunReport run_elastic_common(const std::string& name, const Shape& shape,
+                             i64 P, bool int_inputs, const RunOptions& opts,
+                             RankFn&& rank_fn, PredictFn&& predict) {
+  check_composition(opts, name, /*abft=*/false, /*elastic=*/true);
   camb::Machine machine(static_cast<int>(P), opts.perturb.machine_seed());
   configure_machine(machine, opts);
   std::vector<ElasticRankOutputT<T>> outputs(static_cast<std::size_t>(P));
@@ -1159,132 +781,25 @@ RunReport run_elastic_common(const Shape& shape, i64 P, bool int_inputs,
   return report;
 }
 
-template <typename T>
-RunReport run_summa_elastic_t(const SummaConfig& cfg, const RunOptions& opts) {
-  reject_elastic_conflicts(opts, "summa_elastic");
-  const i64 P = cfg.g * cfg.g;
-  ElasticConfig ecfg = opts.elastic;
-  ecfg.enabled = true;
-  const bool int_inputs = cfg.integer_inputs || abft_integer_inputs<T>();
-  return run_elastic_common<T>(
-      cfg.shape, P, int_inputs, opts,
-      [&](camb::RankCtx& ctx) {
-        return summa_elastic_rank<T>(ctx, cfg, ecfg);
-      },
-      [&](const std::vector<int>& failed) {
-        return summa_elastic_prediction(cfg, ecfg, failed,
-                                        static_cast<int>(P),
-                                        dtype_width_words(opts.dtype));
-      });
-}
-
-template <typename T>
-RunReport run_grid3d_elastic_t(const Grid3dConfig& cfg,
-                               const RunOptions& opts) {
-  reject_elastic_conflicts(opts, "grid3d_elastic");
-  const i64 P = cfg.grid.total();
-  ElasticConfig ecfg = opts.elastic;
-  ecfg.enabled = true;
-  const bool int_inputs = cfg.integer_inputs || abft_integer_inputs<T>();
-  return run_elastic_common<T>(
-      cfg.shape, P, int_inputs, opts,
-      [&](camb::RankCtx& ctx) {
-        return grid3d_elastic_rank<T>(ctx, cfg, ecfg);
-      },
-      [&](const std::vector<int>& failed) {
-        return grid3d_elastic_prediction(cfg, ecfg, failed,
-                                         static_cast<int>(P),
-                                         dtype_width_words(opts.dtype));
-      });
-}
-
-template <typename T>
-RunReport run_alg25d_elastic_t(const Alg25dConfig& cfg,
-                               const RunOptions& opts) {
-  reject_elastic_conflicts(opts, "alg25d_elastic");
-  const i64 P = cfg.g * cfg.g * cfg.c;
-  ElasticConfig ecfg = opts.elastic;
-  ecfg.enabled = true;
-  const bool int_inputs = cfg.integer_inputs || abft_integer_inputs<T>();
-  return run_elastic_common<T>(
-      cfg.shape, P, int_inputs, opts,
-      [&](camb::RankCtx& ctx) {
-        return alg25d_elastic_rank<T>(ctx, cfg, ecfg);
-      },
-      [&](const std::vector<int>& failed) {
-        return alg25d_elastic_prediction(cfg, ecfg, failed,
-                                         static_cast<int>(P),
-                                         dtype_width_words(opts.dtype));
-      });
-}
-
-template <typename T>
-RunReport run_cannon_t(const CannonConfig& cfg, const RunOptions& opts) {
-  reject_mem_sdc(opts, "cannon");
-  const i64 P = cfg.g * cfg.g;
-  i64 predicted = 0;
-  for (i64 r = 0; r < P; ++r) {
-    predicted = std::max(
-        predicted, cannon_predicted_recv_words(cfg, static_cast<int>(r)));
-  }
-  const double bound = lower_bound_for(cfg.shape, P, opts);
-  if (opts.checkpoint.enabled()) {
-    std::vector<Block2DOutputT<T>> outputs;
-    RunReport report = run_ckpt_common<T, Block2DOutputT<T>>(
-        static_cast<int>(P), opts, bound, cannon_ckpt_steps(cfg),
-        [&](int L) { return cannon_predicted_recv_words(cfg, L); },
-        [&](int L, i64 s) { return cannon_ckpt_snapshot_words(cfg, L, s); },
-        [&](ckpt::SessionT<T>& s) { return cannon_ckpt_rank<T>(s, cfg); },
-        outputs);
-    verify_block2d<T>(cfg.shape, outputs, opts, report);
-    return report;
-  }
-  return run_block2d<T>(cfg.shape, P, opts, bound, predicted,
-                        [&](camb::RankCtx& ctx) {
-                          return cannon_rank<T>(ctx, cfg);
-                        });
-}
-
-template <typename T>
-RunReport run_naive_bcast_t(const NaiveBcastConfig& cfg, i64 nprocs,
-                            const RunOptions& opts) {
-  reject_mem_sdc(opts, "naive_bcast");
-  i64 predicted = 0;
-  for (i64 r = 0; r < nprocs; ++r) {
-    predicted = std::max(predicted,
-                         naive_bcast_predicted_recv_words(
-                             cfg, static_cast<int>(r), static_cast<int>(nprocs)));
-  }
-  const double bound = lower_bound_for(cfg.shape, nprocs, opts);
-  if (opts.checkpoint.enabled()) {
-    std::vector<Block2DOutputT<T>> outputs;
-    RunReport report = run_ckpt_common<T, Block2DOutputT<T>>(
-        static_cast<int>(nprocs), opts, bound, naive_bcast_ckpt_steps(cfg),
-        [&](int L) {
-          return naive_bcast_predicted_recv_words(cfg, L,
-                                                  static_cast<int>(nprocs));
-        },
-        [&](int L, i64 s) {
-          return naive_bcast_ckpt_snapshot_words(cfg, L,
-                                                 static_cast<int>(nprocs), s);
-        },
-        [&](ckpt::SessionT<T>& s) { return naive_bcast_ckpt_rank<T>(s, cfg); },
-        outputs);
-    verify_block2d<T>(cfg.shape, outputs, opts, report);
-    return report;
-  }
-  return run_block2d<T>(cfg.shape, nprocs, opts, bound, predicted,
-                        [&](camb::RankCtx& ctx) {
-                          return naive_bcast_rank<T>(ctx, cfg);
-                        });
-}
-
 }  // namespace
 
 RunReport run_grid3d(const Grid3dConfig& cfg, const RunOptions& opts) {
-  return dispatch_dtype(opts.dtype, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    return run_grid3d_t<T>(cfg, opts);
+  return dispatch_dtype(opts.dtype, [&]<typename T>(std::type_identity<T>) {
+    return run_algorithm(
+        AlgorithmSpec<T, Grid3dRankOutputT<T>>{
+            .name = "grid3d",
+            .shape = cfg.shape,
+            .nprocs = static_cast<int>(cfg.grid.total()),
+            .predict =
+                [&](int r) { return grid3d_predicted_recv_words(cfg, r); },
+            .steps = grid3d_ckpt_steps(cfg),
+            .snapshot_words =
+                [&](int L, i64 step) {
+                  return grid3d_ckpt_snapshot_words(cfg, L, step);
+                },
+            .integer_inputs = cfg.integer_inputs,
+            .place = place_grid3d<T>},
+        opts, [&](auto& session) { return grid3d_body<T>(session, cfg); });
   });
 }
 
@@ -1298,9 +813,29 @@ RunReport run_grid3d(const Grid3dConfig& cfg, bool verify) {
 
 RunReport run_grid3d_staged(const Grid3dStagedConfig& cfg,
                             const RunOptions& opts) {
-  return dispatch_dtype(opts.dtype, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    return run_grid3d_staged_t<T>(cfg, opts);
+  return dispatch_dtype(opts.dtype, [&]<typename T>(std::type_identity<T>) {
+    return run_algorithm(
+        AlgorithmSpec<T, Grid3dStagedRankOutputT<T>>{
+            .name = "grid3d_staged",
+            .shape = cfg.shape,
+            .nprocs = static_cast<int>(cfg.grid.total()),
+            .predict =
+                [&](int r) {
+                  return grid3d_staged_predicted_recv_words(cfg, r);
+                },
+            .steps = grid3d_staged_ckpt_steps(cfg),
+            .snapshot_words =
+                [&](int L, i64 step) {
+                  return grid3d_staged_ckpt_snapshot_words(cfg, L, step);
+                },
+            .place =
+                [](Matrix<T>& c, const Grid3dStagedRankOutputT<T>& out) {
+                  for (std::size_t s = 0; s < out.c_chunks.size(); ++s) {
+                    place_chunk<T>(c, out.c_chunks[s], out.c_data[s]);
+                  }
+                }},
+        opts,
+        [&](auto& session) { return grid3d_staged_body<T>(session, cfg); });
   });
 }
 
@@ -1310,9 +845,24 @@ RunReport run_grid3d_staged(const Grid3dStagedConfig& cfg, bool verify) {
 
 RunReport run_grid3d_agarwal(const Grid3dAgarwalConfig& cfg,
                              const RunOptions& opts) {
-  return dispatch_dtype(opts.dtype, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    return run_grid3d_agarwal_t<T>(cfg, opts);
+  return dispatch_dtype(opts.dtype, [&]<typename T>(std::type_identity<T>) {
+    return run_algorithm(
+        AlgorithmSpec<T, Grid3dRankOutputT<T>>{
+            .name = "grid3d_agarwal",
+            .shape = cfg.shape,
+            .nprocs = static_cast<int>(cfg.grid.total()),
+            .predict =
+                [&](int r) {
+                  return grid3d_agarwal_predicted_recv_words(cfg, r);
+                },
+            .steps = grid3d_agarwal_ckpt_steps(cfg),
+            .snapshot_words =
+                [&](int L, i64 step) {
+                  return grid3d_agarwal_ckpt_snapshot_words(cfg, L, step);
+                },
+            .place = place_grid3d<T>},
+        opts,
+        [&](auto& session) { return grid3d_agarwal_body<T>(session, cfg); });
   });
 }
 
@@ -1321,9 +871,25 @@ RunReport run_grid3d_agarwal(const Grid3dAgarwalConfig& cfg, bool verify) {
 }
 
 RunReport run_carma(const CarmaConfig& cfg, const RunOptions& opts) {
-  return dispatch_dtype(opts.dtype, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    return run_carma_t<T>(cfg, opts);
+  const std::vector<i64> predicted = carma_predicted_recv_words(cfg);
+  return dispatch_dtype(opts.dtype, [&]<typename T>(std::type_identity<T>) {
+    return run_algorithm(
+        AlgorithmSpec<T, CarmaRankOutputT<T>>{
+            .name = "carma",
+            .shape = cfg.shape,
+            .nprocs = 1 << cfg.levels,
+            .predict =
+                [&](int r) { return predicted[static_cast<std::size_t>(r)]; },
+            .steps = carma_ckpt_steps(cfg),
+            .snapshot_words =
+                [&](int L, i64 step) {
+                  return carma_ckpt_snapshot_words(cfg, L, step);
+                },
+            .place =
+                [](Matrix<T>& c, const CarmaRankOutputT<T>& out) {
+                  place_chunk<T>(c, out.holding, out.data);
+                }},
+        opts, [&](auto& session) { return carma_body<T>(session, cfg); });
   });
 }
 
@@ -1332,9 +898,22 @@ RunReport run_carma(const CarmaConfig& cfg, bool verify) {
 }
 
 RunReport run_alg25d(const Alg25dConfig& cfg, const RunOptions& opts) {
-  return dispatch_dtype(opts.dtype, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    return run_alg25d_t<T>(cfg, opts);
+  return dispatch_dtype(opts.dtype, [&]<typename T>(std::type_identity<T>) {
+    return run_algorithm(
+        AlgorithmSpec<T, Block2DOutputT<T>>{
+            .name = "alg25d",
+            .shape = cfg.shape,
+            .nprocs = static_cast<int>(cfg.g * cfg.g * cfg.c),
+            .predict =
+                [&](int r) { return alg25d_predicted_recv_words(cfg, r); },
+            .steps = alg25d_ckpt_steps(cfg),
+            .snapshot_words =
+                [&](int L, i64 step) {
+                  return alg25d_ckpt_snapshot_words(cfg, L, step);
+                },
+            .integer_inputs = cfg.integer_inputs,
+            .place = place_block<T>},
+        opts, [&](auto& session) { return alg25d_body<T>(session, cfg); });
   });
 }
 
@@ -1343,9 +922,21 @@ RunReport run_alg25d(const Alg25dConfig& cfg, bool verify) {
 }
 
 RunReport run_summa_elastic(const SummaConfig& cfg, const RunOptions& opts) {
-  return dispatch_dtype(opts.dtype, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    return run_summa_elastic_t<T>(cfg, opts);
+  return dispatch_dtype(opts.dtype, [&]<typename T>(std::type_identity<T>) {
+    const i64 P = cfg.g * cfg.g;
+    ElasticConfig ecfg = opts.elastic;
+    ecfg.enabled = true;
+    return run_elastic_common<T>(
+        "summa_elastic", cfg.shape, P,
+        cfg.integer_inputs || abft_integer_inputs<T>(), opts,
+        [&](camb::RankCtx& ctx) {
+          return summa_elastic_rank<T>(ctx, cfg, ecfg);
+        },
+        [&](const std::vector<int>& failed) {
+          return summa_elastic_prediction(cfg, ecfg, failed,
+                                          static_cast<int>(P),
+                                          dtype_width_words(opts.dtype));
+        });
   });
 }
 
@@ -1354,9 +945,21 @@ RunReport run_summa_elastic(const SummaConfig& cfg, bool verify) {
 }
 
 RunReport run_grid3d_elastic(const Grid3dConfig& cfg, const RunOptions& opts) {
-  return dispatch_dtype(opts.dtype, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    return run_grid3d_elastic_t<T>(cfg, opts);
+  return dispatch_dtype(opts.dtype, [&]<typename T>(std::type_identity<T>) {
+    const i64 P = cfg.grid.total();
+    ElasticConfig ecfg = opts.elastic;
+    ecfg.enabled = true;
+    return run_elastic_common<T>(
+        "grid3d_elastic", cfg.shape, P,
+        cfg.integer_inputs || abft_integer_inputs<T>(), opts,
+        [&](camb::RankCtx& ctx) {
+          return grid3d_elastic_rank<T>(ctx, cfg, ecfg);
+        },
+        [&](const std::vector<int>& failed) {
+          return grid3d_elastic_prediction(cfg, ecfg, failed,
+                                           static_cast<int>(P),
+                                           dtype_width_words(opts.dtype));
+        });
   });
 }
 
@@ -1365,9 +968,21 @@ RunReport run_grid3d_elastic(const Grid3dConfig& cfg, bool verify) {
 }
 
 RunReport run_alg25d_elastic(const Alg25dConfig& cfg, const RunOptions& opts) {
-  return dispatch_dtype(opts.dtype, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    return run_alg25d_elastic_t<T>(cfg, opts);
+  return dispatch_dtype(opts.dtype, [&]<typename T>(std::type_identity<T>) {
+    const i64 P = cfg.g * cfg.g * cfg.c;
+    ElasticConfig ecfg = opts.elastic;
+    ecfg.enabled = true;
+    return run_elastic_common<T>(
+        "alg25d_elastic", cfg.shape, P,
+        cfg.integer_inputs || abft_integer_inputs<T>(), opts,
+        [&](camb::RankCtx& ctx) {
+          return alg25d_elastic_rank<T>(ctx, cfg, ecfg);
+        },
+        [&](const std::vector<int>& failed) {
+          return alg25d_elastic_prediction(cfg, ecfg, failed,
+                                           static_cast<int>(P),
+                                           dtype_width_words(opts.dtype));
+        });
   });
 }
 
@@ -1376,9 +991,22 @@ RunReport run_alg25d_elastic(const Alg25dConfig& cfg, bool verify) {
 }
 
 RunReport run_summa(const SummaConfig& cfg, const RunOptions& opts) {
-  return dispatch_dtype(opts.dtype, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    return run_summa_t<T>(cfg, opts);
+  return dispatch_dtype(opts.dtype, [&]<typename T>(std::type_identity<T>) {
+    return run_algorithm(
+        AlgorithmSpec<T, Block2DOutputT<T>>{
+            .name = "summa",
+            .shape = cfg.shape,
+            .nprocs = static_cast<int>(cfg.g * cfg.g),
+            .predict =
+                [&](int r) { return summa_predicted_recv_words(cfg, r); },
+            .steps = summa_ckpt_steps(cfg),
+            .snapshot_words =
+                [&](int L, i64 step) {
+                  return summa_ckpt_snapshot_words(cfg, L, step);
+                },
+            .integer_inputs = cfg.integer_inputs,
+            .place = place_block<T>},
+        opts, [&](auto& session) { return summa_body<T>(session, cfg); });
   });
 }
 
@@ -1387,9 +1015,40 @@ RunReport run_summa(const SummaConfig& cfg, bool verify) {
 }
 
 RunReport run_summa_abft(const SummaAbftConfig& cfg, const RunOptions& opts) {
-  return dispatch_dtype(opts.dtype, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    return run_summa_abft_t<T>(cfg, opts);
+  const int P = static_cast<int>(cfg.base.g * cfg.base.g);
+  return dispatch_dtype(opts.dtype, [&]<typename T>(std::type_identity<T>) {
+    return run_algorithm(
+        AlgorithmSpec<T, SummaAbftOutputT<T>>{
+            .name = "summa_abft",
+            .shape = cfg.base.shape,
+            .nprocs = P,
+            .predict =
+                [&](int r) { return summa_abft_ckpt_base_recv_words(cfg, r); },
+            .control_words = coll::shrink_recv_words_exact(P, cfg.max_failures),
+            .steps = summa_abft_ckpt_steps(cfg),
+            .snapshot_words =
+                [&](int L, i64 step) {
+                  return summa_abft_ckpt_snapshot_words(cfg, L, step);
+                },
+            .integer_inputs = abft_integer_inputs<T>(),
+            .tile =
+                [](SummaAbftOutputT<T>& out) {
+                  return std::span<T>(out.own.block.data(),
+                                      static_cast<std::size_t>(
+                                          out.own.block.size()));
+                },
+            .correct =
+                [&](std::vector<SummaAbftOutputT<T>>& outputs) {
+                  return summa_abft_correct<T>(cfg, outputs);
+                },
+            .place =
+                [](Matrix<T>& c, const SummaAbftOutputT<T>& out) {
+                  place_block<T>(c, out.own);
+                  for (const RecoveredBlock2DT<T>& rec : out.recovered) {
+                    place_block<T>(c, rec.out);
+                  }
+                }},
+        opts, [&](auto& session) { return summa_abft_body<T>(session, cfg); });
   });
 }
 
@@ -1399,9 +1058,53 @@ RunReport run_summa_abft(const SummaAbftConfig& cfg, bool verify) {
 
 RunReport run_grid3d_abft(const Grid3dAbftConfig& cfg,
                           const RunOptions& opts) {
-  return dispatch_dtype(opts.dtype, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    return run_grid3d_abft_t<T>(cfg, opts);
+  const int P = static_cast<int>(cfg.base.grid.total());
+  const Shape& shape = cfg.base.shape;
+  return dispatch_dtype(opts.dtype, [&]<typename T>(std::type_identity<T>) {
+    return run_algorithm(
+        AlgorithmSpec<T, Grid3dAbftOutputT<T>>{
+            .name = "grid3d_abft",
+            .shape = shape,
+            .nprocs = P,
+            .predict =
+                [&](int r) { return grid3d_abft_ckpt_base_recv_words(cfg, r); },
+            .control_words = coll::shrink_recv_words_exact(P, cfg.max_failures),
+            .steps = grid3d_abft_ckpt_steps(cfg),
+            .snapshot_words =
+                [&](int L, i64 step) {
+                  return grid3d_abft_ckpt_snapshot_words(cfg, L, step);
+                },
+            .integer_inputs = abft_integer_inputs<T>(),
+            .tile = [](Grid3dAbftOutputT<T>& out) {
+              return std::span<T>(out.own.c_data);
+            },
+            .correct =
+                [&](std::vector<Grid3dAbftOutputT<T>>& outputs) {
+                  // The parity syndrome localizes the corrupted element but
+                  // not which fiber member holds it; one exact reference dot
+                  // product per candidate disambiguates.  The dot product is
+                  // exact in every dtype: the inputs are integer-valued
+                  // (natively for exact scalars, by the smallness of the
+                  // integer pattern otherwise).
+                  Matrix<T> a, b;
+                  fill_inputs<T>(shape, abft_integer_inputs<T>(), a, b);
+                  return grid3d_abft_correct<T>(
+                      cfg, outputs, [&](i64 row, i64 col) {
+                        T acc = ScalarTraits<T>::zero();
+                        for (i64 k = 0; k < shape.n2; ++k) {
+                          acc += a(row, k) * b(k, col);
+                        }
+                        return acc;
+                      });
+                },
+            .place =
+                [](Matrix<T>& c, const Grid3dAbftOutputT<T>& out) {
+                  place_grid3d<T>(c, out.own);
+                  for (const RecoveredChunk3DT<T>& rec : out.recovered) {
+                    place_chunk<T>(c, rec.c_chunk, rec.c_data);
+                  }
+                }},
+        opts, [&](auto& session) { return grid3d_abft_body<T>(session, cfg); });
   });
 }
 
@@ -1410,9 +1113,21 @@ RunReport run_grid3d_abft(const Grid3dAbftConfig& cfg, bool verify) {
 }
 
 RunReport run_cannon(const CannonConfig& cfg, const RunOptions& opts) {
-  return dispatch_dtype(opts.dtype, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    return run_cannon_t<T>(cfg, opts);
+  return dispatch_dtype(opts.dtype, [&]<typename T>(std::type_identity<T>) {
+    return run_algorithm(
+        AlgorithmSpec<T, Block2DOutputT<T>>{
+            .name = "cannon",
+            .shape = cfg.shape,
+            .nprocs = static_cast<int>(cfg.g * cfg.g),
+            .predict =
+                [&](int r) { return cannon_predicted_recv_words(cfg, r); },
+            .steps = cannon_ckpt_steps(cfg),
+            .snapshot_words =
+                [&](int L, i64 step) {
+                  return cannon_ckpt_snapshot_words(cfg, L, step);
+                },
+            .place = place_block<T>},
+        opts, [&](auto& session) { return cannon_body<T>(session, cfg); });
   });
 }
 
@@ -1422,9 +1137,25 @@ RunReport run_cannon(const CannonConfig& cfg, bool verify) {
 
 RunReport run_naive_bcast(const NaiveBcastConfig& cfg, i64 nprocs,
                           const RunOptions& opts) {
-  return dispatch_dtype(opts.dtype, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    return run_naive_bcast_t<T>(cfg, nprocs, opts);
+  const int P = static_cast<int>(nprocs);
+  return dispatch_dtype(opts.dtype, [&]<typename T>(std::type_identity<T>) {
+    return run_algorithm(
+        AlgorithmSpec<T, Block2DOutputT<T>>{
+            .name = "naive_bcast",
+            .shape = cfg.shape,
+            .nprocs = P,
+            .predict =
+                [&](int r) {
+                  return naive_bcast_predicted_recv_words(cfg, r, P);
+                },
+            .steps = naive_bcast_ckpt_steps(cfg),
+            .snapshot_words =
+                [&](int L, i64 step) {
+                  return naive_bcast_ckpt_snapshot_words(cfg, L, P, step);
+                },
+            .place = place_block<T>},
+        opts,
+        [&](auto& session) { return naive_bcast_body<T>(session, cfg); });
   });
 }
 

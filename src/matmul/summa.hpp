@@ -37,16 +37,22 @@ struct Block2DOutputT {
 };
 using Block2DOutput = Block2DOutputT<double>;
 
-/// SPMD body for one rank; inputs generated with the indexed pattern.
-/// Templated over the scalar (CAMB_FOR_EACH_SCALAR set); the default keeps
-/// legacy double call sites source-compatible.
+/// The one SPMD body of SUMMA, for either session (collectives/rollback.hpp):
+/// under ckpt::SessionT it commits the C block after every stage and
+/// resumes from the last committed one.  Inputs are generated with the
+/// indexed pattern.  Instantiated for the CAMB_FOR_EACH_SCALAR set.
+template <typename T, typename Session>
+Block2DOutputT<T> summa_body(Session& session, const SummaConfig& cfg);
+
+/// summa_body on a plain session.  The default scalar keeps legacy double
+/// call sites source-compatible.
 template <typename T = double>
 Block2DOutputT<T> summa_rank(RankCtx& ctx, const SummaConfig& cfg);
 
-/// The g-stage broadcast loop, parameterized by the fiber comms so the same
-/// code runs on the world grid (summa_rank) and on a survivors' recovery
-/// grid (the elastic twin).  (i, j) is this rank's logical grid position,
-/// a_own / b_own its owned blocks; C accumulates into `c_block`.
+/// The g-stage broadcast loop (summa_body's, on a plain session),
+/// parameterized by the fiber comms so the same code runs on a survivors'
+/// recovery grid (the elastic variant).  (i, j) is this rank's logical grid
+/// position, a_own / b_own its owned blocks; C accumulates into `c_block`.
 template <typename T>
 void summa_stage_loop(RankCtx& ctx, const SummaConfig& cfg,
                       const coll::Comm& my_row, const coll::Comm& my_col,
@@ -57,14 +63,7 @@ void summa_stage_loop(RankCtx& ctx, const SummaConfig& cfg,
 /// non-root of a stage receives the panel once).
 i64 summa_predicted_recv_words(const SummaConfig& cfg, int rank);
 
-/// Checkpointable twin of summa_rank: same math and word counts, but runs
-/// under a rollback session — recovery-region comms, epoch boundaries after
-/// every stage, and restore-from-snapshot on re-execution.
-template <typename T>
-Block2DOutputT<T> summa_ckpt_rank(ckpt::SessionT<T>& session,
-                                  const SummaConfig& cfg);
-
-/// Boundary steps the twin announces (one per SUMMA stage).
+/// Boundary steps summa_body announces (one per SUMMA stage).
 i64 summa_ckpt_steps(const SummaConfig& cfg);
 /// Wire words of logical rank `logical`'s snapshot at boundary `step`.
 i64 summa_ckpt_snapshot_words(const SummaConfig& cfg, int logical, i64 step);

@@ -79,6 +79,12 @@ i64 ipow(i64 base, int exp);
 /// values near zero) of y.
 bool approx_eq(double x, double y, double rel = 1e-9, double abs_tol = 1e-12);
 
+/// max(a, b) that never drops a NaN: std::max(a, NaN) returns a, so a
+/// residual fold built on it reports a NaN-poisoned result as clean.  Here a
+/// NaN on either side wins and then sticks; on finite values the result is
+/// bit-identical to std::max(a, b).
+inline double nan_max(double a, double b) { return (b > a || b != b) ? b : a; }
+
 /// Median of three values.
 double median3(double a, double b, double c);
 i64 median3(i64 a, i64 b, i64 c);

@@ -142,12 +142,14 @@ class Matrix {
     }
   }
 
-  /// Max absolute element-wise difference with another matrix of equal shape.
+  /// Max absolute element-wise difference with another matrix of equal shape
+  /// (NaN if any entry differs by NaN, so a poisoned result never compares
+  /// clean).
   double max_abs_diff(const Matrix& other) const {
     CAMB_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
     double worst = 0.0;
     for (std::size_t idx = 0; idx < data_.size(); ++idx) {
-      worst = std::max(
+      worst = nan_max(
           worst, std::abs(ScalarTraits<T>::to_double(data_[idx]) -
                           ScalarTraits<T>::to_double(other.data_[idx])));
     }

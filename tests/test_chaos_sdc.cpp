@@ -443,6 +443,44 @@ TEST(MemorySdc, ContradictoryConfigurationsAreRejected) {
     opts.sdc.message_rate = 0.1;
     EXPECT_THROW(algorithm_by_name("summa").run_opts(shape, 4, opts), Error);
   }
+  // The composition rules over every registry entry: memory SDC needs a
+  // checksum correction path (the *_abft entries) in a run that corrects
+  // instead of re-executing; elastic shrink-and-regrid does not stack with
+  // checkpoint/rollback.  Rejected cells throw; supported cells run.
+  const Shape grid_shape{16, 32, 24};
+  for (const AlgorithmInfo& algo : algorithm_registry()) {
+    const auto has_suffix = [&](const std::string& suffix) {
+      return algo.name.size() > suffix.size() &&
+             algo.name.compare(algo.name.size() - suffix.size(),
+                               suffix.size(), suffix) == 0;
+    };
+    const bool abft = has_suffix("_abft");
+    const bool elastic = has_suffix("_elastic");
+    const i64 p = algo.supports(grid_shape, 8) ? 8 : 9;
+    ASSERT_TRUE(algo.supports(grid_shape, p)) << algo.name;
+
+    RunOptions mem = RunOptions::verified(VerifyMode::kReference);
+    mem.sdc.mem_rate = 0.5;
+    RunOptions ckpt = RunOptions::verified(VerifyMode::kReference);
+    ckpt.checkpoint.interval = 1;
+    ckpt.checkpoint.spares = 1;
+    RunOptions both = ckpt;
+    both.sdc.mem_rate = 0.5;
+
+    if (abft) {
+      EXPECT_NO_THROW(algo.run_opts(grid_shape, p, mem)) << algo.name;
+    } else {
+      EXPECT_THROW(algo.run_opts(grid_shape, p, mem), Error) << algo.name;
+    }
+    if (elastic) {
+      EXPECT_THROW(algo.run_opts(grid_shape, p, ckpt), Error) << algo.name;
+    } else {
+      const RunReport report = algo.run_opts(grid_shape, p, ckpt);
+      EXPECT_TRUE(report.verified) << algo.name;
+      EXPECT_LT(report.max_abs_error, 1e-9) << algo.name;
+    }
+    EXPECT_THROW(algo.run_opts(grid_shape, p, both), Error) << algo.name;
+  }
 }
 
 }  // namespace

@@ -214,5 +214,34 @@ TEST(CheckpointClean, Grid3dAbftExact) {
                           "grid3d_abft");
 }
 
+/// A clean checkpointed run holds exactly the working set of the plain run:
+/// both execute the same body, so they register the same WorkingSets, in
+/// the run's element width, for the whole body.
+TEST(CheckpointClean, PeakMemoryMatchesPlainRun) {
+  const mm::Shape shape{48, 40, 56};
+  const core::Grid3 grid{2, 2, 2};
+  const mm::Grid3dConfig g3{shape, grid};
+  const mm::Grid3dStagedConfig staged{shape, grid, 4};
+  const mm::Grid3dAbftConfig abft{g3};
+  for (DType dtype : {DType::kF64, DType::kF32, DType::kKahan}) {
+    mm::RunOptions plain;
+    plain.dtype = dtype;
+    mm::RunOptions ck = ckpt_opts(1, 1);
+    ck.verify = mm::VerifyMode::kNone;
+    ck.dtype = dtype;
+    const std::string what = dtype_name(dtype);
+    const double g3_peak = mm::run_grid3d(g3, plain).measured_peak_memory_words;
+    EXPECT_GT(g3_peak, 0) << what;
+    EXPECT_EQ(mm::run_grid3d(g3, ck).measured_peak_memory_words, g3_peak)
+        << "grid3d " << what;
+    EXPECT_EQ(mm::run_grid3d_staged(staged, ck).measured_peak_memory_words,
+              mm::run_grid3d_staged(staged, plain).measured_peak_memory_words)
+        << "grid3d_staged " << what;
+    EXPECT_EQ(mm::run_grid3d_abft(abft, ck).measured_peak_memory_words,
+              mm::run_grid3d_abft(abft, plain).measured_peak_memory_words)
+        << "grid3d_abft " << what;
+  }
+}
+
 }  // namespace
 }  // namespace camb

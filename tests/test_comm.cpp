@@ -1,6 +1,6 @@
 // Unit tests for the communicator layer: Comm construction and validation
 // (including the group-size-512 regression for the single-pass duplicate
-// check), tag-lease allocation and exhaustion, split, and GridComm fibers.
+// check), tag-lease allocation and exhaustion, and split.
 #include "collectives/comm.hpp"
 
 #include <gtest/gtest.h>
@@ -8,7 +8,6 @@
 #include <mutex>
 #include <numeric>
 
-#include "collectives/grid_comm.hpp"
 #include "machine/machine.hpp"
 
 namespace camb {
@@ -159,45 +158,6 @@ TEST(Comm, NonMembersMayNotCommunicate) {
                                   {static_cast<double>(ctx.rank())});
     ASSERT_EQ(got.size(), 1u);
     EXPECT_DOUBLE_EQ(got[0], static_cast<double>(1 - ctx.rank()));
-  });
-}
-
-// ---------------------------------------------------------------------------
-// GridComm fibers
-// ---------------------------------------------------------------------------
-
-TEST(GridComm, FibersAreTheAxisAlignedLinesThroughThisRank) {
-  const core::Grid3 grid{2, 3, 4};
-  Machine machine(static_cast<int>(grid.total()));
-  machine.run([&](RankCtx& ctx) {
-    const coll::GridComm gc(ctx, grid);
-    const i64 q1 = ctx.rank() / (grid.p2 * grid.p3);
-    const i64 q2 = (ctx.rank() / grid.p3) % grid.p2;
-    const i64 q3 = ctx.rank() % grid.p3;
-    EXPECT_EQ(gc.q1(), q1);
-    EXPECT_EQ(gc.q2(), q2);
-    EXPECT_EQ(gc.q3(), q3);
-    EXPECT_EQ(gc.rank_of(q1, q2, q3), ctx.rank());
-    // fiber(a) varies coordinate a and fixes the other two; this rank's
-    // index within it is its own a-th coordinate.
-    EXPECT_EQ(gc.fiber(0).size(), grid.p1);
-    EXPECT_EQ(gc.fiber(1).size(), grid.p2);
-    EXPECT_EQ(gc.fiber(2).size(), grid.p3);
-    EXPECT_EQ(gc.fiber(0).my_index(), static_cast<int>(q1));
-    EXPECT_EQ(gc.fiber(1).my_index(), static_cast<int>(q2));
-    EXPECT_EQ(gc.fiber(2).my_index(), static_cast<int>(q3));
-    for (i64 v = 0; v < grid.p2; ++v) {
-      EXPECT_EQ(gc.fiber(1).rank_at(static_cast<int>(v)),
-                gc.rank_of(q1, v, q3));
-    }
-    EXPECT_THROW(gc.fiber(3), Error);
-  });
-}
-
-TEST(GridComm, RejectsMismatchedMachine) {
-  Machine machine(5);
-  machine.run([&](RankCtx& ctx) {
-    EXPECT_THROW(coll::GridComm(ctx, core::Grid3{2, 2, 2}), Error);
   });
 }
 

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "matmul/local_gemm.hpp"
 #include "matmul/runner.hpp"
@@ -37,6 +39,36 @@ TEST(Freivalds, RejectsSingleEntryCorruption) {
   // One trial misses a single corrupted entry iff x[7] = 0 (prob 1/2);
   // 32 trials make a false accept essentially impossible.
   EXPECT_FALSE(freivalds_check(a, b, bad, 32, rng));
+}
+
+/// A non-finite entry in C must fail both result checks, wherever it sits:
+/// the residual folds propagate NaN instead of dropping it the way
+/// std::max(worst, NaN) == worst would.
+TEST(Freivalds, NonFiniteEntriesFailBothCheckers) {
+  const Shape shape{16, 12, 20};
+  MatrixD a(shape.n1, shape.n2), b(shape.n2, shape.n3);
+  a.fill_indexed(0, 0);
+  b.fill_indexed(0, 0);
+  const MatrixD good = gemm(a, b);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    for (i64 row : {i64{0}, shape.n1 - 1}) {
+      MatrixD c = good;
+      c(row, 7) = bad;
+      const std::string what =
+          std::to_string(bad) + " at row " + std::to_string(row);
+      Rng rng(5);
+      EXPECT_FALSE(freivalds_check(a, b, c, 16, rng)) << what;
+      Rng rng2(5);
+      EXPECT_FALSE(freivalds_residual(a, b, c, 16, rng2) <= 1.0) << what;
+      EXPECT_FALSE(c.max_abs_diff(good) <= 1.0) << what;
+      EXPECT_FALSE(good.max_abs_diff(c) <= 1.0) << what;
+      EXPECT_FALSE(check_result(shape, c, VerifyMode::kReference) <= 1.0)
+          << what;
+      EXPECT_FALSE(check_result(shape, c, VerifyMode::kFreivalds) <= 1.0)
+          << what;
+    }
+  }
 }
 
 TEST(Freivalds, RejectsTransposedResult) {
