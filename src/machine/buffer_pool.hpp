@@ -145,6 +145,9 @@ class Buffer {
   void unpack_into(T* dst) const {
     CAMB_CHECK_MSG(elem_bytes_ == static_cast<i64>(sizeof(T)),
                    "buffer width tag does not match requested scalar");
+    // An empty payload may have no storage: memcpy from null is undefined
+    // even for zero bytes.
+    if (elems_ == 0) return;
     std::memcpy(dst, storage_.data(),
                 static_cast<std::size_t>(elems_) * sizeof(T));
   }
@@ -153,11 +156,8 @@ class Buffer {
   /// Requires the buffer's width tag to match sizeof(T).
   template <typename T>
   std::vector<T> unpack() const {
-    CAMB_CHECK_MSG(elem_bytes_ == static_cast<i64>(sizeof(T)),
-                   "buffer width tag does not match requested scalar");
     std::vector<T> out(static_cast<std::size_t>(elems_));
-    std::memcpy(out.data(), storage_.data(),
-                static_cast<std::size_t>(elems_) * sizeof(T));
+    unpack_into(out.data());
     return out;
   }
 
@@ -346,7 +346,9 @@ Buffer Buffer::pack(const T* src, i64 n) {
     }
     std::vector<double> storage(
         static_cast<std::size_t>(ceil_div(nbytes, 8)), 0.0);
-    std::memcpy(storage.data(), src, static_cast<std::size_t>(nbytes));
+    if (nbytes > 0) {
+      std::memcpy(storage.data(), src, static_cast<std::size_t>(nbytes));
+    }
     Buffer out(std::move(storage));
     out.elems_ = n;
     out.elem_bytes_ = static_cast<i64>(sizeof(T));

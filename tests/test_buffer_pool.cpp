@@ -56,6 +56,17 @@ TEST(Buffer, ZerosMatchesVectorContents) {
   EXPECT_EQ(z, std::vector<double>(4, 0.0));
 }
 
+/// Empty payloads (zero-size strips and pieces occur in real schedules)
+/// round-trip without copying from or to a null pointer — undefined even
+/// for zero bytes, and fatal under the UBSan build.
+TEST(Buffer, EmptyPayloadsRoundTripWithoutCopying) {
+  const std::vector<float> none;
+  Buffer b = Buffer::pack<float>(none);
+  EXPECT_EQ(b.elems<float>(), 0);
+  EXPECT_TRUE(b.unpack<float>().empty());  // unpack_into an empty vector
+  EXPECT_TRUE(std::move(b).take_as<float>().empty());
+}
+
 TEST(BufferPool, ReuseAndReturnAccounting) {
   constexpr std::size_t kWords = BufferPool::kMinPooledWords;
   BufferPool pool;
