@@ -27,10 +27,16 @@
 // counts/time/output fingerprints it records the agreed rollback outcome
 // (rounds, final epoch, failed set).  Peak memory is deliberately left out.
 //
+// An elastic leg (tests/golden/elastic_sweep.txt) pins shrink-and-regrid:
+// the three elastic registry entries, clean, with one seeded crash, and with
+// two crashes under a failure budget of two, in f64 and f32, under both
+// schedulers.  Each record adds the agreed outcome (rounds, failed set,
+// survivors, active ranks, final grid).
+//
 // Regenerate (only when an *intentional* behavior change lands) with:
 //   CAMB_WRITE_GOLDEN=1 ./test_equivalence_sweep
-// (add --gtest_filter=CheckpointSweepGolden.* to rewrite only the
-// checkpoint file, or --gtest_filter=EquivalenceSweepGolden.* for the other).
+// (add --gtest_filter=CheckpointSweepGolden.* or ElasticSweepGolden.* to
+// rewrite only that leg's file, or EquivalenceSweepGolden.* for the main one).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -415,6 +421,143 @@ TEST(CheckpointSweepGolden, WriteIfRequested) {
   out << "# Golden checkpoint records: shape 16x32x24, interval 1, 1 spare,\n"
       << "# reference-verified; crash legs crash rank " << kCkptCrashRank
       << ". Hashes are FNV-1a.\n";
+  for (const auto& [key, rec] : records) out << key << " | " << rec << "\n";
+}
+
+// ---------------------------------------------------------------------------
+// Elastic leg.
+// ---------------------------------------------------------------------------
+
+const Shape kElasticShape{48, 40, 56};
+/// Each algorithm runs at the first of these P it supports.
+const std::vector<i64> kElasticProcs = {27, 16};
+const std::vector<std::string> kElasticAlgos = {
+    "summa_elastic", "grid3d_elastic", "alg25d_elastic"};
+constexpr std::uint64_t kElasticSeed = 31;
+
+/// One crash scenario of the elastic leg: the armed ranks (crash positions
+/// drawn from [0, max_send] by the master seed) and the failure budget.
+struct ElasticScenario {
+  const char* name;
+  std::vector<int> ranks;
+  i64 max_send;
+  int max_failures;
+};
+const std::vector<ElasticScenario> kElasticScenarios = {
+    {"clean", {}, 0, 1},
+    {"crash1", {kCkptCrashRank}, 120, 1},
+    {"crash2", {kCkptCrashRank, 4}, 120, 2},
+};
+
+std::string elastic_golden_path() {
+  return std::string(CAMB_GOLDEN_DIR) + "/elastic_sweep.txt";
+}
+
+/// One elastic record: the equivalence fingerprints plus the agreed
+/// shrink-and-regrid outcome (rounds, failed set, P′, active ranks, grid).
+std::string elastic_record_of(const RunReport& report) {
+  const Record rec = record_of(report);
+  const ElasticReport& e = report.elastic;
+  std::ostringstream failed;
+  for (std::size_t i = 0; i < e.failed.size(); ++i) {
+    failed << (i > 0 ? "," : "") << e.failed[i];
+  }
+  char buf[320];
+  std::snprintf(buf, sizeof(buf),
+                "counts=%016llx time=%016llx out=%016llx rounds=%d "
+                "failed=[%s] survivors=%lld active=%lld grid=%lldx%lldx%lld",
+                static_cast<unsigned long long>(rec.counts_hash),
+                static_cast<unsigned long long>(rec.time_bits),
+                static_cast<unsigned long long>(rec.output_hash), e.rounds,
+                failed.str().c_str(), static_cast<long long>(e.survivors),
+                static_cast<long long>(e.active_ranks),
+                static_cast<long long>(e.grid.p1),
+                static_cast<long long>(e.grid.p2),
+                static_cast<long long>(e.grid.p3));
+  return buf;
+}
+
+/// Every elastic run of the leg under one scheduler, keyed
+/// "<algo>[~dtype] P=<p> seed=<s> <scenario>".
+std::map<std::string, std::string> run_elastic_sweep(SchedulerKind scheduler) {
+  std::map<std::string, std::string> records;
+  for (const std::string& name : kElasticAlgos) {
+    const AlgorithmInfo& algo = algorithm_by_name(name);
+    i64 p = 0;
+    for (i64 candidate : kElasticProcs) {
+      if (algo.supports(kElasticShape, candidate)) {
+        p = candidate;
+        break;
+      }
+    }
+    EXPECT_GT(p, 0) << name << " supports none of the elastic-leg P";
+    if (p == 0) continue;
+    for (DType dtype : kCkptDtypes) {
+      for (const ElasticScenario& sc : kElasticScenarios) {
+        RunOptions opts = RunOptions::verified(VerifyMode::kReference);
+        opts.perturb.master_seed = kElasticSeed;
+        opts.scheduler.kind = scheduler;
+        opts.dtype = dtype;
+        opts.crash.ranks = sc.ranks;
+        opts.crash.max_send_position = sc.max_send;
+        opts.elastic.max_failures = sc.max_failures;
+        const std::string key =
+            key_of(name, p, kElasticSeed, dtype) + " " + sc.name;
+        const RunReport report = algo.run_opts(kElasticShape, p, opts);
+        EXPECT_TRUE(report.verified) << key;
+        EXPECT_LT(report.max_abs_error, verify_tol(dtype)) << key;
+        EXPECT_TRUE(report.elastic.enabled) << key;
+        records[key] = elastic_record_of(report);
+      }
+    }
+  }
+  return records;
+}
+
+class ElasticSweep : public ::testing::TestWithParam<SchedulerKind> {};
+
+TEST_P(ElasticSweep, MatchesGolden) {
+  if (write_mode()) GTEST_SKIP() << "golden being rewritten";
+  std::map<std::string, std::string> golden;
+  std::ifstream in(elastic_golden_path());
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    const auto bar = line.find(" | ");
+    ASSERT_NE(bar, std::string::npos) << "bad golden line: " << line;
+    golden[line.substr(0, bar)] = line.substr(bar + 3);
+  }
+  ASSERT_FALSE(golden.empty())
+      << "missing golden file " << elastic_golden_path()
+      << " — regenerate with CAMB_WRITE_GOLDEN=1";
+  const auto fresh = run_elastic_sweep(GetParam());
+  EXPECT_EQ(fresh.size(), golden.size());
+  for (const auto& [key, rec] : fresh) {
+    const auto it = golden.find(key);
+    ASSERT_NE(it, golden.end()) << "no golden record for " << key;
+    EXPECT_EQ(rec, it->second) << key << " diverged from golden";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothSchedulers, ElasticSweep,
+    ::testing::Values(SchedulerKind::kThreads, SchedulerKind::kFibers),
+    [](const ::testing::TestParamInfo<SchedulerKind>& info) {
+      return std::string(scheduler_kind_name(info.param));
+    });
+
+/// Regeneration entry point for the elastic leg (thread scheduler).
+TEST(ElasticSweepGolden, WriteIfRequested) {
+  if (!write_mode()) {
+    GTEST_SKIP() << "set CAMB_WRITE_GOLDEN=1 to regenerate "
+                 << elastic_golden_path();
+  }
+  const auto records = run_elastic_sweep(SchedulerKind::kThreads);
+  std::ofstream out(elastic_golden_path());
+  ASSERT_TRUE(out) << "cannot write " << elastic_golden_path();
+  out << "# Golden elastic records: shape 48x40x56, reference-verified;\n"
+      << "# crash1 arms rank " << kCkptCrashRank << ", crash2 ranks "
+      << kCkptCrashRank << ",4 with max_failures 2. Hashes are FNV-1a.\n";
   for (const auto& [key, rec] : records) out << key << " | " << rec << "\n";
 }
 
