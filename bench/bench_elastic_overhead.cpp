@@ -1,11 +1,12 @@
 // bench_elastic_overhead — what graceful degradation costs: for the three
-// elastic twins (summa / grid3d / alg25d) at P in the mid-30s, kills
+// elastic-capable runners (summa / grid3d / alg25d with the elastic switch
+// on) at P in the mid-30s, kills
 // 0..f ranks in the enlistment window and tables the transition bill —
 // shrink agreement, migration tax, execution at P′ — against the
 // fault-free elastic run and the Theorem 3 bound at the surviving P′.
 //
 // The numbers are exact, not sampled: every run must produce the
-// bit-identical C of the fault-free elastic twin, and every machine rank's
+// bit-identical C of the fault-free elastic run, and every machine rank's
 // received words must equal the closed-form prediction (shrink control +
 // width x (regrid + exec-at-P′ elements)) with zero tolerance.  Any missed
 // prediction or wrong bit exits nonzero, so the perf leg doubles as a
@@ -60,7 +61,7 @@ std::vector<int> victims(int f, i64 P) {
   return dead;
 }
 
-/// One (twin, f) cell: run with f enlistment-window deaths, pin every rank
+/// One (algorithm, f) cell: run with f enlistment-window deaths, pin every rank
 /// against the closed-form prediction, and report the transition bill.
 template <typename RunFn, typename PredictFn>
 CaseResult run_case(const char* name, i64 P, int f, RunFn&& run,
@@ -198,27 +199,27 @@ int main(int argc, char** argv) {
 
   sweep(
       "summa_elastic", 36,
-      [&](const mm::RunOptions& o) { return mm::run_summa_elastic(summa, o); },
+      [&](const mm::RunOptions& o) { return mm::run_summa(summa, o); },
       [&](const std::vector<int>& failed, int max_failures) {
-        return mm::summa_elastic_prediction(
+        return mm::elastic_prediction(
             summa, mm::ElasticConfig{true, max_failures}, failed, 36, 1.0);
       });
   sweep(
       "grid3d_elastic", 36,
       [&](const mm::RunOptions& o) {
-        return mm::run_grid3d_elastic(grid3d, o);
+        return mm::run_grid3d(grid3d, o);
       },
       [&](const std::vector<int>& failed, int max_failures) {
-        return mm::grid3d_elastic_prediction(
+        return mm::elastic_prediction(
             grid3d, mm::ElasticConfig{true, max_failures}, failed, 36, 1.0);
       });
   sweep(
       "alg25d_elastic", 32,
       [&](const mm::RunOptions& o) {
-        return mm::run_alg25d_elastic(alg25d, o);
+        return mm::run_alg25d(alg25d, o);
       },
       [&](const std::vector<int>& failed, int max_failures) {
-        return mm::alg25d_elastic_prediction(
+        return mm::elastic_prediction(
             alg25d, mm::ElasticConfig{true, max_failures}, failed, 32, 1.0);
       });
 

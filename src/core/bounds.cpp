@@ -7,32 +7,53 @@
 
 namespace camb::core {
 
-BoundResult memory_independent_bound_sorted(double m, double n, double k,
-                                            double P) {
-  Lemma2Problem prob{m, n, k, P};
-  prob.validate();
+BoundProducts bound_products(double m, double n, double k) {
+  BoundProducts x;
+  x.m = m;
+  x.n = n;
+  x.k = k;
+  x.mn = m * n;
+  x.mk = m * k;
+  x.nk = n * k;
+  x.mnk = x.mn * k;
+  x.mnkk = x.mnk * k;
+  x.faces = x.mn + x.mk + x.nk;
+  x.boundary_1d = m / n;
+  x.boundary_2d = x.mn / (k * k);
+  return x;
+}
+
+BoundResult memory_independent_bound_at(const BoundProducts& x, double P) {
   BoundResult out;
-  out.regime = classify_regime(m, n, k, P);
+  out.regime = P <= x.boundary_1d   ? RegimeCase::kOneD
+               : P <= x.boundary_2d ? RegimeCase::kTwoD
+                                    : RegimeCase::kThreeD;
   switch (out.regime) {
     case RegimeCase::kOneD:
-      out.leading_term = n * k;
+      out.leading_term = x.nk;
       out.constant = 1.0;
-      out.D = (m * n + m * k) / P + n * k;
+      out.D = (x.mn + x.mk) / P + x.nk;
       break;
     case RegimeCase::kTwoD:
-      out.leading_term = std::sqrt(m * n * k * k / P);
+      out.leading_term = std::sqrt(x.mnkk / P);
       out.constant = 2.0;
-      out.D = 2.0 * out.leading_term + m * n / P;
+      out.D = 2.0 * out.leading_term + x.mn / P;
       break;
     case RegimeCase::kThreeD:
-      out.leading_term = std::pow(m * n * k / P, 2.0 / 3.0);
+      out.leading_term = std::pow(x.mnk / P, 2.0 / 3.0);
       out.constant = 3.0;
       out.D = 3.0 * out.leading_term;
       break;
   }
-  out.owned = (m * n + m * k + n * k) / P;
+  out.owned = x.faces / P;
   out.words = std::max(0.0, out.D - out.owned);
   return out;
+}
+
+BoundResult memory_independent_bound_sorted(double m, double n, double k,
+                                            double P) {
+  Lemma2Problem{m, n, k, P}.validate();
+  return memory_independent_bound_at(bound_products(m, n, k), P);
 }
 
 BoundResult memory_independent_bound(const Shape& shape, double P) {

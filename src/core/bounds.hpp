@@ -23,6 +23,27 @@ struct BoundResult {
   double words = 0;         ///< the bound: D − owned (clamped at 0)
 };
 
+/// The sorted-dimension products Theorem 3 consumes (m >= n >= k), each
+/// formed once in the formula's left-associative order, so a cached copy
+/// evaluates the bound bit for bit.  The regime boundaries are those of
+/// classify_regime (the arXiv:1202.3177 strong-scaling crossings).
+struct BoundProducts {
+  double m = 1, n = 1, k = 1;
+  double mn = 1;           ///< m * n
+  double mk = 1;           ///< m * k
+  double nk = 1;           ///< n * k
+  double mnk = 1;          ///< (m * n) * k
+  double mnkk = 1;         ///< ((m * n) * k) * k
+  double faces = 3;        ///< (m*n + m*k) + n*k — the owned numerator
+  double boundary_1d = 1;  ///< P1 = m / n: 1D up to here
+  double boundary_2d = 1;  ///< P2 = (m * n) / (k * k): 2D up to here
+};
+BoundProducts bound_products(double m, double n, double k);
+
+/// Theorem 3 on cached products: the one evaluator of the bound's
+/// expression.  Does not validate (see memory_independent_bound_sorted).
+BoundResult memory_independent_bound_at(const BoundProducts& x, double P);
+
 /// Theorem 3 in sorted dimensions (m >= n >= k).
 BoundResult memory_independent_bound_sorted(double m, double n, double k,
                                             double P);

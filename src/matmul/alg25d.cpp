@@ -28,19 +28,41 @@ void validate(const Alg25dConfig& cfg, int nprocs) {
                  "machine size must equal g*g*c");
 }
 
-/// Replicate, skew, the layer's w Cannon steps, and the depth reduce under a
-/// session, with a boundary after every Cannon step (the held A/B blocks
-/// plus the C partial).  Returns the layer sum on layer 0, empty elsewhere.
+}  // namespace
+
+/// Replicate, skew, the layer's w Cannon steps, and the depth reduce, with a
+/// boundary after every Cannon step (the held A/B blocks plus the C
+/// partial).
 template <typename T, typename Session>
-std::vector<T> alg25d_steps(Session& session, const Alg25dConfig& cfg, i64 i,
-                            i64 j, i64 l, const coll::Comm& depth,
-                            const coll::Comm& my_row, const coll::Comm& my_col,
-                            std::vector<T> a_held, std::vector<T> b_held) {
+Block2DOutputT<T> alg25d_body(Session& session, const Alg25dConfig& cfg) {
+  validate(cfg, session.nprocs());
   RankCtx& ctx = session.ctx();
   const i64 g = cfg.g, c = cfg.c;
   const i64 w = g / c;  // Cannon steps per layer
+  const auto [i, j, l] = coords_of(session.rank(), g);
   const BlockDist1D d1(cfg.shape.n1, g), d2(cfg.shape.n2, g),
       d3(cfg.shape.n3, g);
+
+  // Layer 0 holds the single input copy, through the session's input hook.
+  std::vector<T> a_held, b_held;
+  if (l == 0) {
+    a_held = session.input(0, [&] {
+      return fill_chunk_pattern<T>(full_block(d1, i, d2, j),
+                                   cfg.integer_inputs);
+    });
+    b_held = session.input(1, [&] {
+      return fill_chunk_pattern<T>(full_block(d2, i, d3, j),
+                                   cfg.integer_inputs);
+    });
+  }
+
+  // Layer-major layout (l * g + i) * g + j is Grid3{c, g, g} with coords
+  // (l, i, j): fiber 0 is the depth fiber (index l), fiber 1 the column comm
+  // B shifts along (index i), fiber 2 the in-layer row comm for A (index j).
+  const GridMap map(Grid3{c, g, g});
+  const coll::Comm depth = session.comm(map.fiber(0, l, i, j));
+  const coll::Comm my_col = session.comm(map.fiber(1, l, i, j));
+  const coll::Comm my_row = session.comm(map.fiber(2, l, i, j));
   // One tag block per fiber covers the skew plus every shift round.
   const int row_tags = g > 1 ? my_row.take_tag_block() : 0;
   const int col_tags = g > 1 ? my_col.take_tag_block() : 0;
@@ -118,50 +140,7 @@ std::vector<T> alg25d_steps(Session& session, const Alg25dConfig& cfg, i64 i,
   // 4. Sum the layers' partials onto layer 0.
   ctx.set_phase(kPhase25dReduce);
   std::vector<T> c_flat(c_partial.data(), c_partial.data() + c_partial.size());
-  std::vector<T> c_sum = coll::reduce(depth, 0, std::move(c_flat));
-  if (l != 0) c_sum.clear();
-  return c_sum;
-}
-
-}  // namespace
-
-template <typename T>
-std::vector<T> alg25d_core(RankCtx& ctx, const Alg25dConfig& cfg, i64 i, i64 j,
-                           i64 l, const coll::Comm& depth,
-                           const coll::Comm& my_row, const coll::Comm& my_col,
-                           std::vector<T> a_held, std::vector<T> b_held) {
-  ckpt::PlainSessionT<T> session(ctx);
-  return alg25d_steps<T>(session, cfg, i, j, l, depth, my_row, my_col,
-                         std::move(a_held), std::move(b_held));
-}
-
-template <typename T, typename Session>
-Block2DOutputT<T> alg25d_body(Session& session, const Alg25dConfig& cfg) {
-  validate(cfg, session.nprocs());
-  const i64 g = cfg.g, c = cfg.c;
-  const auto [i, j, l] = coords_of(session.rank(), g);
-  const BlockDist1D d1(cfg.shape.n1, g), d2(cfg.shape.n2, g),
-      d3(cfg.shape.n3, g);
-
-  // Layer 0 materializes the single input copy.
-  std::vector<T> a_held, b_held;
-  if (l == 0) {
-    a_held =
-        fill_chunk_pattern<T>(full_block(d1, i, d2, j), cfg.integer_inputs);
-    b_held =
-        fill_chunk_pattern<T>(full_block(d2, i, d3, j), cfg.integer_inputs);
-  }
-
-  // Layer-major layout (l * g + i) * g + j is Grid3{c, g, g} with coords
-  // (l, i, j): fiber 0 is the depth fiber (index l), fiber 1 the column comm
-  // B shifts along (index i), fiber 2 the in-layer row comm for A (index j).
-  const GridMap map(Grid3{c, g, g});
-  const coll::Comm depth = session.comm(map.fiber(0, l, i, j));
-  const coll::Comm my_col = session.comm(map.fiber(1, l, i, j));
-  const coll::Comm my_row = session.comm(map.fiber(2, l, i, j));
-  const std::vector<T> c_sum =
-      alg25d_steps<T>(session, cfg, i, j, l, depth, my_row, my_col,
-                      std::move(a_held), std::move(b_held));
+  const std::vector<T> c_sum = coll::reduce(depth, 0, std::move(c_flat));
 
   Block2DOutputT<T> out;
   out.row0 = d1.start(i);
@@ -181,12 +160,11 @@ Block2DOutputT<T> alg25d_rank(RankCtx& ctx, const Alg25dConfig& cfg) {
 }
 
 #define CAMB_INSTANTIATE(T)                                                  \
-  template std::vector<T> alg25d_core<T>(                                    \
-      RankCtx&, const Alg25dConfig&, i64, i64, i64, const coll::Comm&,       \
-      const coll::Comm&, const coll::Comm&, std::vector<T>, std::vector<T>); \
   template Block2DOutputT<T> alg25d_body<T>(ckpt::PlainSessionT<T>&,         \
                                             const Alg25dConfig&);            \
   template Block2DOutputT<T> alg25d_body<T>(ckpt::SessionT<T>&,              \
+                                            const Alg25dConfig&);            \
+  template Block2DOutputT<T> alg25d_body<T>(ckpt::ElasticSessionT<T>&,       \
                                             const Alg25dConfig&);            \
   template Block2DOutputT<T> alg25d_rank<T>(RankCtx&, const Alg25dConfig&);
 CAMB_FOR_EACH_SCALAR(CAMB_INSTANTIATE)

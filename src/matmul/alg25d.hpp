@@ -27,33 +27,25 @@ struct Alg25dConfig {
   i64 g = 1;  ///< layer grid edge
   i64 c = 1;  ///< replication depth; requires c | g, machine size g*g*c
   /// Generate inputs with the integer-valued indexed pattern (exact,
-  /// order-independent sums).  The elastic wrapper forces this on so C is
-  /// bit-identical across grids.
+  /// order-independent sums).  Elastic runs force this on for rounded
+  /// scalars so C is bit-identical across grids.
   bool integer_inputs = false;
 };
 
-/// The one SPMD body for either session.  Layer-0 ranks return their full C
-/// block; other layers return an empty block (the output lives in one copy,
-/// on layer 0).  Under ckpt::SessionT the replicate + skew prologue runs at
-/// epoch 0 only, with one boundary per in-layer Cannon step before the
-/// depth-reduce epilogue.  Instantiated for the CAMB_FOR_EACH_SCALAR set.
+/// The one SPMD body for every session.  Layer-0 ranks take their blocks
+/// through the session's input hook and return their full C block; other
+/// layers return an empty block (the output lives in one copy, on layer 0).
+/// Under ckpt::SessionT the replicate + skew prologue runs at epoch 0 only,
+/// with one boundary per in-layer Cannon step before the depth-reduce
+/// epilogue; under ckpt::ElasticSessionT the body runs on a survivors'
+/// re-planned grid (matmul/elastic.hpp).  Instantiated for the
+/// CAMB_FOR_EACH_SCALAR set.
 template <typename T, typename Session>
 Block2DOutputT<T> alg25d_body(Session& session, const Alg25dConfig& cfg);
 
 /// alg25d_body on a plain session.
 template <typename T = double>
 Block2DOutputT<T> alg25d_rank(RankCtx& ctx, const Alg25dConfig& cfg);
-
-/// Steps 1–4 of alg25d_body (on a plain session) for logical position
-/// (i, j, l), parameterized by the three fiber comms and the layer-0
-/// holdings (empty off layer 0), so the same code runs on a survivors'
-/// recovery grid (the elastic variant).  Returns the reduced C block values
-/// (layer 0) or an empty vector (other layers).
-template <typename T>
-std::vector<T> alg25d_core(RankCtx& ctx, const Alg25dConfig& cfg, i64 i, i64 j,
-                           i64 l, const coll::Comm& depth,
-                           const coll::Comm& my_row, const coll::Comm& my_col,
-                           std::vector<T> a_held, std::vector<T> b_held);
 
 /// Exact predicted received words for `rank`.
 i64 alg25d_predicted_recv_words(const Alg25dConfig& cfg, int rank);

@@ -147,19 +147,19 @@ std::vector<AlgorithmInfo> build_registry() {
       },
       /*bandwidth_optimal=*/false));
 
-  // The elastic twins run the base algorithm through the shrink-and-regrid
-  // envelope (matmul/elastic.hpp).  Registered so the golden equivalence
-  // sweep and the chaos matrix pick them up: a clean elastic run is
-  // word-identical to the base entry (the enlist/confirm probes are
-  // zero-word), though its output hash pins the integer-valued input
-  // pattern that keeps C bit-stable across regrids.
+  // The elastic entries run the base algorithm with the elastic switch on,
+  // through the shrink-and-regrid driver (matmul/elastic.hpp).  Registered
+  // so the golden equivalence sweep and the chaos matrix pick them up: a
+  // clean elastic run is word-identical to the base entry (the
+  // enlist/confirm probes are zero-word), though its output hash pins the
+  // integer-valued input pattern that keeps C bit-stable across regrids.
   algorithms.push_back(make_algorithm(
       "summa_elastic",
       [](const Shape&, i64 nprocs) { return is_square_p(nprocs); },
       [](const Shape& shape, i64 nprocs, const RunOptions& opts) {
         RunOptions eopts = opts;
         eopts.elastic.enabled = true;
-        return run_summa_elastic(SummaConfig{shape, isqrt(nprocs)}, eopts);
+        return run_summa(SummaConfig{shape, isqrt(nprocs)}, eopts);
       },
       /*bandwidth_optimal=*/false));
 
@@ -170,7 +170,7 @@ std::vector<AlgorithmInfo> build_registry() {
         const core::Grid3 grid = planned_grid(shape, nprocs);
         RunOptions eopts = opts;
         eopts.elastic.enabled = true;
-        return run_grid3d_elastic(Grid3dConfig{shape, grid}, eopts);
+        return run_grid3d(Grid3dConfig{shape, grid}, eopts);
       },
       /*bandwidth_optimal=*/true));
 
@@ -181,8 +181,7 @@ std::vector<AlgorithmInfo> build_registry() {
         const i64 c = best_25d_depth(nprocs);
         RunOptions eopts = opts;
         eopts.elastic.enabled = true;
-        return run_alg25d_elastic(Alg25dConfig{shape, isqrt(nprocs / c), c},
-                                  eopts);
+        return run_alg25d(Alg25dConfig{shape, isqrt(nprocs / c), c}, eopts);
       },
       /*bandwidth_optimal=*/false));
 

@@ -49,20 +49,29 @@ Grid3dLayout grid3d_layout(const Grid3dConfig& cfg, int rank) {
   return layout;
 }
 
-namespace {
-
-/// The four steps of Algorithm 1 under a session, with boundaries after the
-/// A all-gather, the B all-gather, and the gemm + reduce-scatter.  The
-/// working sets span the whole body whatever step it resumes from.
+/// The four steps of Algorithm 1, with boundaries after the A all-gather,
+/// the B all-gather, and the gemm + reduce-scatter.  The working sets span
+/// the whole body whatever step it resumes from.
 template <typename T, typename Session>
-Grid3dRankOutputT<T> grid3d_steps(Session& session, const Grid3dConfig& cfg,
-                                  const Grid3dLayout& layout,
-                                  const coll::Comm& fiber_a,
-                                  const coll::Comm& fiber_b,
-                                  const coll::Comm& fiber_c,
-                                  std::vector<T> a_local,
-                                  std::vector<T> b_local) {
+Grid3dRankOutputT<T> grid3d_body(Session& session, const Grid3dConfig& cfg) {
+  CAMB_CHECK_MSG(cfg.grid.total() == session.nprocs(),
+                 "grid size must equal the machine size");
   RankCtx& ctx = session.ctx();
+  const int me = session.rank();
+  const Grid3dLayout layout = grid3d_layout(cfg, me);
+  // The three fibers in axis order: (:, q2, q3) for B, (q1, :, q3) for C,
+  // (q1, q2, :) for A.
+  const GridMap map(cfg.grid);
+  const auto [q1, q2, q3] = map.coords_of(me);
+  const coll::Comm fiber_b = session.comm(map.fiber(0, q1, q2, q3));
+  const coll::Comm fiber_c = session.comm(map.fiber(1, q1, q2, q3));
+  const coll::Comm fiber_a = session.comm(map.fiber(2, q1, q2, q3));
+  // Owned chunks, through the session's input hook.
+  const std::vector<T> a_local = session.input(
+      0, [&] { return fill_chunk_pattern<T>(layout.a, cfg.integer_inputs); });
+  const std::vector<T> b_local = session.input(
+      1, [&] { return fill_chunk_pattern<T>(layout.b, cfg.integer_inputs); });
+
   const i64 t0 = session.resume_step();
   std::vector<T> a_flat, b_flat;
   Grid3dRankOutputT<T> out;
@@ -117,39 +126,6 @@ Grid3dRankOutputT<T> grid3d_steps(Session& session, const Grid3dConfig& cfg,
   return out;
 }
 
-}  // namespace
-
-template <typename T>
-Grid3dRankOutputT<T> grid3d_core(RankCtx& ctx, const Grid3dConfig& cfg,
-                                 const Grid3dLayout& layout,
-                                 const coll::Comm& fiber_a,
-                                 const coll::Comm& fiber_b,
-                                 const coll::Comm& fiber_c,
-                                 std::vector<T> a_local,
-                                 std::vector<T> b_local) {
-  ckpt::PlainSessionT<T> session(ctx);
-  return grid3d_steps<T>(session, cfg, layout, fiber_a, fiber_b, fiber_c,
-                         std::move(a_local), std::move(b_local));
-}
-
-template <typename T, typename Session>
-Grid3dRankOutputT<T> grid3d_body(Session& session, const Grid3dConfig& cfg) {
-  CAMB_CHECK_MSG(cfg.grid.total() == session.nprocs(),
-                 "grid size must equal the machine size");
-  const int me = session.rank();
-  const Grid3dLayout layout = grid3d_layout(cfg, me);
-  // The three fibers in axis order: (:, q2, q3) for B, (q1, :, q3) for C,
-  // (q1, q2, :) for A.
-  const GridMap map(cfg.grid);
-  const auto [q1, q2, q3] = map.coords_of(me);
-  const coll::Comm fiber_b = session.comm(map.fiber(0, q1, q2, q3));
-  const coll::Comm fiber_c = session.comm(map.fiber(1, q1, q2, q3));
-  const coll::Comm fiber_a = session.comm(map.fiber(2, q1, q2, q3));
-  return grid3d_steps<T>(session, cfg, layout, fiber_a, fiber_b, fiber_c,
-                         fill_chunk_pattern<T>(layout.a, cfg.integer_inputs),
-                         fill_chunk_pattern<T>(layout.b, cfg.integer_inputs));
-}
-
 template <typename T>
 Grid3dRankOutputT<T> grid3d_rank(RankCtx& ctx, const Grid3dConfig& cfg) {
   ckpt::PlainSessionT<T> session(ctx);
@@ -157,12 +133,11 @@ Grid3dRankOutputT<T> grid3d_rank(RankCtx& ctx, const Grid3dConfig& cfg) {
 }
 
 #define CAMB_INSTANTIATE(T)                                                  \
-  template Grid3dRankOutputT<T> grid3d_core<T>(                              \
-      RankCtx&, const Grid3dConfig&, const Grid3dLayout&, const coll::Comm&, \
-      const coll::Comm&, const coll::Comm&, std::vector<T>, std::vector<T>); \
   template Grid3dRankOutputT<T> grid3d_body<T>(ckpt::PlainSessionT<T>&,      \
                                                const Grid3dConfig&);         \
   template Grid3dRankOutputT<T> grid3d_body<T>(ckpt::SessionT<T>&,           \
+                                               const Grid3dConfig&);         \
+  template Grid3dRankOutputT<T> grid3d_body<T>(ckpt::ElasticSessionT<T>&,    \
                                                const Grid3dConfig&);         \
   template Grid3dRankOutputT<T> grid3d_rank<T>(RankCtx&, const Grid3dConfig&);
 CAMB_FOR_EACH_SCALAR(CAMB_INSTANTIATE)

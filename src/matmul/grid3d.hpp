@@ -48,12 +48,14 @@ struct Grid3dLayout {
 /// Computes the data layout of `rank` under the configuration.
 Grid3dLayout grid3d_layout(const Grid3dConfig& cfg, int rank);
 
-/// The one SPMD body of Algorithm 1, for either session
-/// (collectives/rollback.hpp).  Inputs are generated locally with the
-/// deterministic indexed pattern (no distribution traffic), so all measured
-/// communication is the algorithm's own.  Under ckpt::SessionT it commits
-/// after the A all-gather, the B all-gather, and the gemm + reduce-scatter.
-/// Instantiated for the CAMB_FOR_EACH_SCALAR set.
+/// The one SPMD body of Algorithm 1, for every session
+/// (collectives/rollback.hpp).  The owned chunks come through the session's
+/// input hook: generated locally with the deterministic indexed pattern (no
+/// distribution traffic, so all measured communication is the algorithm's
+/// own), or, under ckpt::ElasticSessionT, the panels migrated onto a
+/// survivors' re-planned grid (matmul/elastic.hpp).  Under ckpt::SessionT it
+/// commits after the A all-gather, the B all-gather, and the gemm +
+/// reduce-scatter.  Instantiated for the CAMB_FOR_EACH_SCALAR set.
 template <typename T, typename Session>
 Grid3dRankOutputT<T> grid3d_body(Session& session, const Grid3dConfig& cfg);
 
@@ -61,20 +63,6 @@ Grid3dRankOutputT<T> grid3d_body(Session& session, const Grid3dConfig& cfg);
 /// call sites source-compatible.
 template <typename T = double>
 Grid3dRankOutputT<T> grid3d_rank(RankCtx& ctx, const Grid3dConfig& cfg);
-
-/// The four steps of grid3d_body (on a plain session) parameterized by the
-/// three fiber comms and pre-filled local chunks, so the same code runs on a
-/// survivors' recovery grid (the elastic variant).
-/// `layout` must be this rank's logical layout; `fiber_a` is the comm of
-/// the (q1, q2, :) fiber, `fiber_b` of (:, q2, q3), `fiber_c` of (q1, :, q3).
-template <typename T>
-Grid3dRankOutputT<T> grid3d_core(RankCtx& ctx, const Grid3dConfig& cfg,
-                                 const Grid3dLayout& layout,
-                                 const coll::Comm& fiber_a,
-                                 const coll::Comm& fiber_b,
-                                 const coll::Comm& fiber_c,
-                                 std::vector<T> a_local,
-                                 std::vector<T> b_local);
 
 /// Exact predicted words received by `rank`, replicating the collective
 /// round structure (matches the executed machine word-for-word).

@@ -390,16 +390,31 @@ bool contains(const std::vector<int>& ranks, int r) {
   return std::find(ranks.begin(), ranks.end(), r) != ranks.end();
 }
 
-/// The feature-composition rules, in one place.  Memory SDC needs a
-/// checksum correction path and a run that corrects instead of
-/// re-executing; elastic shrink-and-regrid is a recovery discipline of its
-/// own, rival to checkpoint/rollback.  Throws for a combination the
-/// algorithm cannot honour; otherwise returns whether the run is
-/// checkpointed.
-bool check_composition(const RunOptions& opts, const std::string& algo,
-                       bool abft, bool elastic) {
+/// How a run recovers from crashes: the composition check's verdict.
+enum class Discipline { kPlain, kCheckpoint, kElastic };
+
+/// The feature-composition rules, in one place, and the only reader of the
+/// checkpoint and elastic switches.  Elastic shrink-and-regrid needs an
+/// algorithm with an elastic re-plan and is a recovery discipline of its
+/// own, rival to checkpoint/rollback; memory SDC needs a checksum correction
+/// path and a run that corrects instead of re-executing.  Throws for a
+/// combination the algorithm cannot honour, before any machine is built.
+Discipline check_composition(const RunOptions& opts, const std::string& algo,
+                             bool abft, bool elastic_capable) {
   const bool checkpoint = opts.checkpoint.enabled();
+  const bool elastic = opts.elastic.enabled;
   const bool mem_sdc = opts.sdc.mem_rate > 0;
+  if (elastic && !elastic_capable) {
+    throw Error(algo +
+                ": elastic shrink-and-regrid needs an algorithm with an "
+                "elastic re-plan (summa, grid3d, alg25d); " +
+                algo + " has none");
+  }
+  if (elastic &&
+      (opts.elastic.max_failures < 0 || opts.elastic.max_failures > 30)) {
+    throw Error(algo + ": elastic max_failures must be in [0, 30] (the "
+                       "recovery tag space holds 31 bands)");
+  }
   if (elastic && checkpoint) {
     throw Error(algo +
                 ": elastic shrink-and-regrid does not compose with "
@@ -422,7 +437,9 @@ bool check_composition(const RunOptions& opts, const std::string& algo,
                 "checkpoint/rollback: rollback re-executes instead of "
                 "correcting, so the checksum repair path is never exercised");
   }
-  return checkpoint;
+  return checkpoint ? Discipline::kCheckpoint
+         : elastic  ? Discipline::kElastic
+                    : Discipline::kPlain;
 }
 
 /// Commit tax of a clean checkpointed run for logical rank L: at each
@@ -541,6 +558,39 @@ double lower_bound_for(const Shape& shape, i64 nprocs,
          dtype_width_words(opts.dtype);
 }
 
+/// The elastic face of an elastic-capable algorithm: the driver of
+/// matmul/elastic.hpp around its body on one rank, the closed-form
+/// prediction for an agreed failed set, and the inputs the run fills.
+template <typename Output>
+struct ElasticSpec {
+  bool integer_inputs = false;
+  std::function<ElasticRankOutputT<Output>(RankCtx&)> rank;
+  std::function<ElasticPrediction(const std::vector<int>& failed, int nprocs,
+                                  double width_words)>
+      predict;
+};
+
+/// Binds an elastic-capable algorithm's config and `body(session, config)`
+/// into its ElasticSpec.  The one place that forces integer-valued inputs
+/// for rounded scalars: sums become exact and order-independent, so
+/// attempt-0 tiles and any new-grid tiles agree bit for bit (the mixed
+/// retire/recover case depends on this).
+template <typename T, typename Config, typename Body>
+auto elastic_spec(Config cfg, const ElasticConfig& ecfg, Body body) {
+  if constexpr (!ScalarTraits<T>::exact) cfg.integer_inputs = true;
+  using Output =
+      decltype(body(std::declval<ckpt::PlainSessionT<T>&>(), cfg));
+  return ElasticSpec<Output>{
+      .integer_inputs = cfg.integer_inputs,
+      .rank = [cfg, ecfg, body](RankCtx& ctx) {
+        return elastic_rank<T>(ctx, cfg, ecfg, body);
+      },
+      .predict = [cfg, ecfg](const std::vector<int>& failed, int nprocs,
+                             double width_words) {
+        return elastic_prediction(cfg, ecfg, failed, nprocs, width_words);
+      }};
+}
+
 /// What the one runner needs to know about an algorithm besides its body.
 template <typename T, typename Output>
 struct AlgorithmSpec {
@@ -564,21 +614,90 @@ struct AlgorithmSpec {
   std::function<AbftCorrection(std::vector<Output>&)> correct = {};
   /// Place one rank's output into the assembled C.
   std::function<void(Matrix<T>&, const Output&)> place;
+  /// Elastic-capable algorithms only (summa, grid3d, alg25d).
+  std::optional<ElasticSpec<Output>> elastic = {};
 
   bool abft() const { return static_cast<bool>(correct); }
 };
 
+/// Elastic record + prediction: the agreed outcome lives in the
+/// deepest-recovering survivor (a rank that retired after a clean attempt 0
+/// reports rounds = 0 even when its peers went on to shrink without it), and
+/// the zero-tolerance prediction is the one for that agreed failed set —
+/// base words when clean, base-at-P′ + shrink flood + migration tax when
+/// crashed.
+template <typename Output>
+void fill_elastic_report(RunReport& report, camb::Machine& machine,
+                         const RunOptions& opts, const Shape& shape,
+                         const std::vector<ElasticRankOutputT<Output>>& outs,
+                         const ElasticSpec<Output>& spec) {
+  const int P = static_cast<int>(outs.size());
+  const std::vector<int>& crashed = machine.crash_outcome().crashed;
+  const ElasticRankOutputT<Output>* view = nullptr;
+  for (int r = 0; r < P; ++r) {
+    if (contains(crashed, r)) continue;
+    const ElasticRankOutputT<Output>& out = outs[static_cast<std::size_t>(r)];
+    if (view == nullptr || out.rounds > view->rounds) view = &out;
+  }
+  if (view == nullptr) {
+    throw Error("elastic: every rank crashed; nothing to report");
+  }
+  ElasticReport& e = report.elastic;
+  e.enabled = true;
+  e.rounds = view->rounds;
+  e.failed = view->failed;
+  e.survivors = view->survivors;
+  e.active_ranks = view->active_ranks;
+  e.grid = view->final_grid;
+
+  const camb::CommStats& stats = machine.stats();
+  for (int r = 0; r < P; ++r) {
+    const double regrid_w =
+        stats.rank_phase(r, coll::kPhaseElasticRegrid).words_received();
+    const double shrink_w =
+        stats.rank_phase(r, kPhaseElasticShrink).words_received();
+    e.migration_recv_words = std::max(e.migration_recv_words, regrid_w);
+    e.shrink_recv_words = std::max(e.shrink_recv_words, shrink_w);
+    e.exec_recv_words =
+        std::max(e.exec_recv_words,
+                 stats.rank_total(r).words_received() - regrid_w - shrink_w);
+  }
+  e.bound_words_at_pprime = lower_bound_for(shape, e.active_ranks, opts);
+  if (e.bound_words_at_pprime > 0) {
+    e.overhead_vs_bound = e.exec_recv_words / e.bound_words_at_pprime;
+  }
+
+  // Split data elements (dtype-scaled) from the shrink control words (fixed
+  // f64 mask payloads) the way predicted_words() recombines them; the split
+  // commutes with the max because the control words are uniform over
+  // survivors and the failed receive nothing.
+  const double width = dtype_width_words(opts.dtype);
+  const ElasticPrediction pred = spec.predict(view->failed, P, width);
+  i64 max_elems = 0;
+  for (int r = 0; r < P; ++r) {
+    const auto s = static_cast<std::size_t>(r);
+    const double data_words =
+        pred.rank_migration_words[s] + pred.rank_exec_words[s];
+    max_elems = std::max(max_elems,
+                         static_cast<i64>(std::llround(data_words / width)));
+  }
+  report.predicted_critical_recv = max_elems;
+  report.predicted_control_words =
+      static_cast<i64>(std::llround(pred.shrink_words));
+}
+
 /// The one runner: builds the machine (with spares when checkpointing), runs
-/// `body` under the matching session — body(ckpt::PlainSessionT<T>&) or,
-/// inside the rollback round loop, body(ckpt::SessionT<T>&) — measures,
-/// predicts (max over ranks, plus the commit tax and agreement flood when
-/// checkpointing), runs the ABFT correction pass, then assembles and
-/// verifies C.
+/// `body` under the matching session — body(ckpt::PlainSessionT<T>&), inside
+/// the rollback round loop body(ckpt::SessionT<T>&), or through the elastic
+/// driver — measures, predicts (max over ranks, plus the commit tax and
+/// agreement flood when checkpointing; the failed-set closed form when
+/// elastic), runs the ABFT correction pass, then assembles and verifies C.
 template <typename T, typename Output, typename Body>
 RunReport run_algorithm(const AlgorithmSpec<T, Output>& spec,
                         const RunOptions& opts, Body&& body) {
-  const bool checkpoint =
-      check_composition(opts, spec.name, spec.abft(), /*elastic=*/false);
+  const Discipline discipline = check_composition(
+      opts, spec.name, spec.abft(), spec.elastic.has_value());
+  const bool checkpoint = discipline == Discipline::kCheckpoint;
   const int P = spec.nprocs;
   const CheckpointConfig& ck = opts.checkpoint;
   camb::Machine machine(P + (checkpoint ? ck.spares : 0),
@@ -586,6 +705,7 @@ RunReport run_algorithm(const AlgorithmSpec<T, Output>& spec,
   configure_machine(machine, opts);
   std::vector<Output> outputs(static_cast<std::size_t>(P));
   std::vector<ckpt::RunLog> logs;
+  std::vector<ElasticRankOutputT<Output>> elastic_outs;
   if (checkpoint) {
     // P + spares physical ranks each drive the rollback round loop; the
     // per-logical outputs are collected under a mutex (re-executions
@@ -607,6 +727,18 @@ RunReport run_algorithm(const AlgorithmSpec<T, Output>& spec,
                      "rank");
       outputs[static_cast<std::size_t>(L)] = std::move(*result);
     }
+  } else if (discipline == Discipline::kElastic) {
+    // Every rank keeps its tile of the grid it finished on (retiree
+    // attempt-0 tiles and recovery-round tiles overlap bit-identically, so
+    // placement order does not matter); idle survivors place nothing.
+    elastic_outs.resize(static_cast<std::size_t>(P));
+    machine.run([&](camb::RankCtx& ctx) {
+      const auto r = static_cast<std::size_t>(ctx.rank());
+      elastic_outs[r] = spec.elastic->rank(ctx);
+      if (elastic_outs[r].output) {
+        outputs[r] = std::move(*elastic_outs[r].output);
+      }
+    });
   } else {
     machine.run([&](camb::RankCtx& ctx) {
       ckpt::PlainSessionT<T> session(ctx);
@@ -619,6 +751,9 @@ RunReport run_algorithm(const AlgorithmSpec<T, Output>& spec,
   if (checkpoint) {
     fill_resilience_report(report, machine, opts, logs, P, spec.steps,
                            spec.predict, spec.snapshot_words);
+  } else if (discipline == Discipline::kElastic) {
+    fill_elastic_report(report, machine, opts, spec.shape, elastic_outs,
+                        *spec.elastic);
   } else {
     // Data elements (dtype-scaled) and control words (fixed, identical on
     // every rank — so the split commutes with the max).
@@ -664,12 +799,15 @@ RunReport run_algorithm(const AlgorithmSpec<T, Output>& spec,
   if (opts.verify != VerifyMode::kNone) {
     Matrix<T> c(spec.shape.n1, spec.shape.n3);
     for (int r = 0; r < P; ++r) {
-      // A crashed rank of a plain run left no output; checkpointed outputs
-      // are indexed by logical rank and all present.
+      // A crashed rank of a plain or elastic run left no output;
+      // checkpointed outputs are indexed by logical rank and all present.
       if (!checkpoint && contains(crashed, r)) continue;
       spec.place(c, outputs[static_cast<std::size_t>(r)]);
     }
-    verify_assembled<T>(spec.shape, c, opts.verify, spec.integer_inputs,
+    verify_assembled<T>(spec.shape, c, opts.verify,
+                        discipline == Discipline::kElastic
+                            ? spec.elastic->integer_inputs
+                            : spec.integer_inputs,
                         report);
   }
   return report;
@@ -685,106 +823,13 @@ void place_grid3d(Matrix<T>& c, const Grid3dRankOutputT<T>& out) {
   place_chunk<T>(c, out.c_chunk, out.c_data);
 }
 
-/// Shared elastic driver: run the per-rank elastic twin on a counted
-/// machine, pin the report to the closed-form prediction for the agreed
-/// failed set, and assemble C from every non-crashed rank's tiles (retiree
-/// attempt-0 tiles and recovery-round tiles overlap bit-identically, so
-/// placement order does not matter).
-template <typename T, typename RankFn, typename PredictFn>
-RunReport run_elastic_common(const std::string& name, const Shape& shape,
-                             i64 P, bool int_inputs, const RunOptions& opts,
-                             RankFn&& rank_fn, PredictFn&& predict) {
-  check_composition(opts, name, /*abft=*/false, /*elastic=*/true);
-  camb::Machine machine(static_cast<int>(P), opts.perturb.machine_seed());
-  configure_machine(machine, opts);
-  std::vector<ElasticRankOutputT<T>> outputs(static_cast<std::size_t>(P));
-  machine.run([&](camb::RankCtx& ctx) {
-    outputs[static_cast<std::size_t>(ctx.rank())] = rank_fn(ctx);
-  });
-  RunReport report = report_from_machine(machine, opts);
-  const std::vector<int>& crashed = machine.crash_outcome().crashed;
-
-  // The agreed outcome lives in the deepest-recovering survivor: a rank
-  // that retired after a clean attempt 0 reports rounds = 0 even when its
-  // peers went on to shrink without it.
-  const ElasticRankOutputT<T>* view = nullptr;
-  for (i64 r = 0; r < P; ++r) {
-    if (contains(crashed, static_cast<int>(r))) continue;
-    const ElasticRankOutputT<T>& out = outputs[static_cast<std::size_t>(r)];
-    if (view == nullptr || out.rounds > view->rounds) view = &out;
-  }
-  if (view == nullptr) {
-    throw Error("elastic: every rank crashed; nothing to report");
-  }
-
-  report.elastic.enabled = true;
-  report.elastic.rounds = view->rounds;
-  report.elastic.failed = view->failed;
-  report.elastic.survivors = view->survivors;
-  report.elastic.active_ranks = view->active_ranks;
-  report.elastic.grid = view->final_grid;
-
-  const camb::CommStats& stats = machine.stats();
-  for (i64 r = 0; r < P; ++r) {
-    const int rr = static_cast<int>(r);
-    const double regrid_w =
-        stats.rank_phase(rr, coll::kPhaseElasticRegrid).words_received();
-    const double shrink_w =
-        stats.rank_phase(rr, kPhaseElasticShrink).words_received();
-    report.elastic.migration_recv_words =
-        std::max(report.elastic.migration_recv_words, regrid_w);
-    report.elastic.shrink_recv_words =
-        std::max(report.elastic.shrink_recv_words, shrink_w);
-    report.elastic.exec_recv_words =
-        std::max(report.elastic.exec_recv_words,
-                 stats.rank_total(rr).words_received() - regrid_w - shrink_w);
-  }
-  report.elastic.bound_words_at_pprime =
-      lower_bound_for(shape, report.elastic.active_ranks, opts);
-  if (report.elastic.bound_words_at_pprime > 0) {
-    report.elastic.overhead_vs_bound =
-        report.elastic.exec_recv_words / report.elastic.bound_words_at_pprime;
-  }
-
-  // The zero-tolerance prediction for the agreed failed set: base words
-  // when clean, base-at-P′ + shrink flood + migration tax when crashed.
-  // Split data elements (dtype-scaled) from the shrink control words (fixed
-  // f64 mask payloads) the way predicted_words() recombines them; the split
-  // commutes with the max because the control words are uniform over
-  // survivors and the failed receive nothing.
-  const ElasticPrediction pred = predict(view->failed);
-  const double width = dtype_width_words(opts.dtype);
-  i64 max_elems = 0;
-  for (i64 r = 0; r < P; ++r) {
-    const std::size_t s = static_cast<std::size_t>(r);
-    const double data_words =
-        pred.rank_migration_words[s] + pred.rank_exec_words[s];
-    max_elems = std::max(
-        max_elems, static_cast<i64>(std::llround(data_words / width)));
-  }
-  report.predicted_critical_recv = max_elems;
-  report.predicted_control_words =
-      static_cast<i64>(std::llround(pred.shrink_words));
-  report.lower_bound_words = lower_bound_for(shape, P, opts);
-
-  if (opts.verify != VerifyMode::kNone) {
-    Matrix<T> c(shape.n1, shape.n3);
-    for (i64 r = 0; r < P; ++r) {
-      if (contains(crashed, static_cast<int>(r))) continue;
-      const ElasticRankOutputT<T>& out = outputs[static_cast<std::size_t>(r)];
-      for (std::size_t s = 0; s < out.c_chunks.size(); ++s) {
-        place_chunk<T>(c, out.c_chunks[s], out.c_data[s]);
-      }
-    }
-    verify_assembled<T>(shape, c, opts.verify, int_inputs, report);
-  }
-  return report;
-}
-
 }  // namespace
 
 RunReport run_grid3d(const Grid3dConfig& cfg, const RunOptions& opts) {
   return dispatch_dtype(opts.dtype, [&]<typename T>(std::type_identity<T>) {
+    const auto body = [](auto& session, const Grid3dConfig& c) {
+      return grid3d_body<T>(session, c);
+    };
     return run_algorithm(
         AlgorithmSpec<T, Grid3dRankOutputT<T>>{
             .name = "grid3d",
@@ -798,8 +843,9 @@ RunReport run_grid3d(const Grid3dConfig& cfg, const RunOptions& opts) {
                   return grid3d_ckpt_snapshot_words(cfg, L, step);
                 },
             .integer_inputs = cfg.integer_inputs,
-            .place = place_grid3d<T>},
-        opts, [&](auto& session) { return grid3d_body<T>(session, cfg); });
+            .place = place_grid3d<T>,
+            .elastic = elastic_spec<T>(cfg, opts.elastic, body)},
+        opts, [&](auto& session) { return body(session, cfg); });
   });
 }
 
@@ -899,6 +945,9 @@ RunReport run_carma(const CarmaConfig& cfg, bool verify) {
 
 RunReport run_alg25d(const Alg25dConfig& cfg, const RunOptions& opts) {
   return dispatch_dtype(opts.dtype, [&]<typename T>(std::type_identity<T>) {
+    const auto body = [](auto& session, const Alg25dConfig& c) {
+      return alg25d_body<T>(session, c);
+    };
     return run_algorithm(
         AlgorithmSpec<T, Block2DOutputT<T>>{
             .name = "alg25d",
@@ -912,8 +961,9 @@ RunReport run_alg25d(const Alg25dConfig& cfg, const RunOptions& opts) {
                   return alg25d_ckpt_snapshot_words(cfg, L, step);
                 },
             .integer_inputs = cfg.integer_inputs,
-            .place = place_block<T>},
-        opts, [&](auto& session) { return alg25d_body<T>(session, cfg); });
+            .place = place_block<T>,
+            .elastic = elastic_spec<T>(cfg, opts.elastic, body)},
+        opts, [&](auto& session) { return body(session, cfg); });
   });
 }
 
@@ -921,77 +971,11 @@ RunReport run_alg25d(const Alg25dConfig& cfg, bool verify) {
   return run_alg25d(cfg, options_from(verify));
 }
 
-RunReport run_summa_elastic(const SummaConfig& cfg, const RunOptions& opts) {
-  return dispatch_dtype(opts.dtype, [&]<typename T>(std::type_identity<T>) {
-    const i64 P = cfg.g * cfg.g;
-    ElasticConfig ecfg = opts.elastic;
-    ecfg.enabled = true;
-    return run_elastic_common<T>(
-        "summa_elastic", cfg.shape, P,
-        cfg.integer_inputs || abft_integer_inputs<T>(), opts,
-        [&](camb::RankCtx& ctx) {
-          return summa_elastic_rank<T>(ctx, cfg, ecfg);
-        },
-        [&](const std::vector<int>& failed) {
-          return summa_elastic_prediction(cfg, ecfg, failed,
-                                          static_cast<int>(P),
-                                          dtype_width_words(opts.dtype));
-        });
-  });
-}
-
-RunReport run_summa_elastic(const SummaConfig& cfg, bool verify) {
-  return run_summa_elastic(cfg, options_from(verify));
-}
-
-RunReport run_grid3d_elastic(const Grid3dConfig& cfg, const RunOptions& opts) {
-  return dispatch_dtype(opts.dtype, [&]<typename T>(std::type_identity<T>) {
-    const i64 P = cfg.grid.total();
-    ElasticConfig ecfg = opts.elastic;
-    ecfg.enabled = true;
-    return run_elastic_common<T>(
-        "grid3d_elastic", cfg.shape, P,
-        cfg.integer_inputs || abft_integer_inputs<T>(), opts,
-        [&](camb::RankCtx& ctx) {
-          return grid3d_elastic_rank<T>(ctx, cfg, ecfg);
-        },
-        [&](const std::vector<int>& failed) {
-          return grid3d_elastic_prediction(cfg, ecfg, failed,
-                                           static_cast<int>(P),
-                                           dtype_width_words(opts.dtype));
-        });
-  });
-}
-
-RunReport run_grid3d_elastic(const Grid3dConfig& cfg, bool verify) {
-  return run_grid3d_elastic(cfg, options_from(verify));
-}
-
-RunReport run_alg25d_elastic(const Alg25dConfig& cfg, const RunOptions& opts) {
-  return dispatch_dtype(opts.dtype, [&]<typename T>(std::type_identity<T>) {
-    const i64 P = cfg.g * cfg.g * cfg.c;
-    ElasticConfig ecfg = opts.elastic;
-    ecfg.enabled = true;
-    return run_elastic_common<T>(
-        "alg25d_elastic", cfg.shape, P,
-        cfg.integer_inputs || abft_integer_inputs<T>(), opts,
-        [&](camb::RankCtx& ctx) {
-          return alg25d_elastic_rank<T>(ctx, cfg, ecfg);
-        },
-        [&](const std::vector<int>& failed) {
-          return alg25d_elastic_prediction(cfg, ecfg, failed,
-                                           static_cast<int>(P),
-                                           dtype_width_words(opts.dtype));
-        });
-  });
-}
-
-RunReport run_alg25d_elastic(const Alg25dConfig& cfg, bool verify) {
-  return run_alg25d_elastic(cfg, options_from(verify));
-}
-
 RunReport run_summa(const SummaConfig& cfg, const RunOptions& opts) {
   return dispatch_dtype(opts.dtype, [&]<typename T>(std::type_identity<T>) {
+    const auto body = [](auto& session, const SummaConfig& c) {
+      return summa_body<T>(session, c);
+    };
     return run_algorithm(
         AlgorithmSpec<T, Block2DOutputT<T>>{
             .name = "summa",
@@ -1005,8 +989,9 @@ RunReport run_summa(const SummaConfig& cfg, const RunOptions& opts) {
                   return summa_ckpt_snapshot_words(cfg, L, step);
                 },
             .integer_inputs = cfg.integer_inputs,
-            .place = place_block<T>},
-        opts, [&](auto& session) { return summa_body<T>(session, cfg); });
+            .place = place_block<T>,
+            .elastic = elastic_spec<T>(cfg, opts.elastic, body)},
+        opts, [&](auto& session) { return body(session, cfg); });
   });
 }
 

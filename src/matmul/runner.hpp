@@ -278,8 +278,9 @@ struct RunOptions {
   CheckpointConfig checkpoint;
   /// Elastic shrink-and-regrid (matmul/elastic.hpp): on crash detection the
   /// survivors agree, re-plan the optimal grid for P′, migrate the live
-  /// panels, and finish there.  Mutually exclusive with checkpointing and
-  /// with memory-SDC injection (both are rival recovery disciplines).
+  /// panels, and finish there.  Only summa, grid3d and alg25d have an
+  /// elastic re-plan; mutually exclusive with checkpointing and with
+  /// memory-SDC injection (both are rival recovery disciplines).
   ElasticConfig elastic;
   /// Record every counted send (machine/trace.hpp) and return the log in
   /// RunReport::trace_events — what the closed-form transport-tax predictor
@@ -378,7 +379,13 @@ struct RunReport {
 
 /// Algorithm 1 on its grid.  `verify` assembles C and checks it (mode
 /// kReference for `true`; use the VerifyMode / RunOptions overloads for
-/// Freivalds or perturbed runs).
+/// Freivalds or perturbed runs).  run_grid3d, run_summa and run_alg25d are
+/// the elastic-capable runners: with RunOptions::elastic.enabled they run
+/// the same body through the shrink-and-regrid driver (matmul/elastic.hpp) —
+/// word-identical to the base run when crash-free; crashed runs shrink to
+/// the survivors' optimal grid and finish there, with the migration tax
+/// reported and pinned to its closed form.  Every other runner rejects the
+/// switch with a named Error.
 RunReport run_grid3d(const Grid3dConfig& cfg, bool verify);
 RunReport run_grid3d(const Grid3dConfig& cfg, VerifyMode mode);
 RunReport run_grid3d(const Grid3dConfig& cfg, const RunOptions& opts);
@@ -414,17 +421,6 @@ RunReport run_summa_abft(const SummaAbftConfig& cfg, const RunOptions& opts);
 /// Checksum-augmented Algorithm 1 (one crash per C fiber tolerated).
 RunReport run_grid3d_abft(const Grid3dAbftConfig& cfg, bool verify);
 RunReport run_grid3d_abft(const Grid3dAbftConfig& cfg, const RunOptions& opts);
-
-/// Elastic twins (matmul/elastic.hpp): the base algorithm wrapped in the
-/// shrink-and-regrid protocol.  Crash-free runs are word-identical to the
-/// base; crashed runs shrink to the survivors' optimal grid and finish
-/// there, with the migration tax reported and pinned to its closed form.
-RunReport run_summa_elastic(const SummaConfig& cfg, bool verify);
-RunReport run_summa_elastic(const SummaConfig& cfg, const RunOptions& opts);
-RunReport run_grid3d_elastic(const Grid3dConfig& cfg, bool verify);
-RunReport run_grid3d_elastic(const Grid3dConfig& cfg, const RunOptions& opts);
-RunReport run_alg25d_elastic(const Alg25dConfig& cfg, bool verify);
-RunReport run_alg25d_elastic(const Alg25dConfig& cfg, const RunOptions& opts);
 
 /// Cannon on a g×g grid.
 RunReport run_cannon(const CannonConfig& cfg, bool verify);

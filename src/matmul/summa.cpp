@@ -7,20 +7,36 @@
 
 namespace camb::mm {
 
-namespace {
-
-/// The g-stage broadcast loop under a session: resumes after the last
-/// committed stage (the C accumulator is the whole snapshot) and commits C
-/// after every stage.
+/// The g-stage broadcast loop resumes after the last committed stage (the C
+/// accumulator is the whole snapshot) and commits C after every stage.
 template <typename T, typename Session>
-void summa_stages(Session& session, const SummaConfig& cfg,
-                  const coll::Comm& my_row, const coll::Comm& my_col, i64 i,
-                  i64 j, const std::vector<T>& a_own,
-                  const std::vector<T>& b_own, Matrix<T>& c_block) {
+Block2DOutputT<T> summa_body(Session& session, const SummaConfig& cfg) {
   RankCtx& ctx = session.ctx();
   const i64 g = cfg.g;
+  CAMB_CHECK_MSG(g * g == session.nprocs(), "SUMMA machine size must be g*g");
+  const i64 i = session.rank() / g;
+  const i64 j = session.rank() % g;
   const BlockDist1D d1(cfg.shape.n1, g), d2(cfg.shape.n2, g),
       d3(cfg.shape.n3, g);
+
+  // Owned blocks, through the session's input hook.
+  const std::vector<T> a_own = session.input(0, [&] {
+    return fill_chunk_pattern<T>(full_block(d1, i, d2, j), cfg.integer_inputs);
+  });
+  const std::vector<T> b_own = session.input(1, [&] {
+    return fill_chunk_pattern<T>(full_block(d2, i, d3, j), cfg.integer_inputs);
+  });
+
+  Block2DOutputT<T> out;
+  out.row0 = d1.start(i);
+  out.col0 = d3.start(j);
+  out.block = Matrix<T>(d1.size(i), d3.size(j));
+  Matrix<T>& c_block = out.block;
+
+  // Fiber comms by logical rank: the row of (i, .) and the column of (., j).
+  const GridMap map(Grid3{g, g, 1});
+  const coll::Comm my_row = session.comm(map.fiber(1, i, j, 0));
+  const coll::Comm my_col = session.comm(map.fiber(0, i, j, 0));
   if (session.restored()) {
     const SnapshotT<T>& snap = session.snapshot();
     CAMB_CHECK(snap.bufs.size() == 1 &&
@@ -53,44 +69,6 @@ void summa_stages(Session& session, const SummaConfig& cfg,
           {std::vector<T>(c_block.data(), c_block.data() + c_block.size())});
     });
   }
-}
-
-}  // namespace
-
-template <typename T>
-void summa_stage_loop(RankCtx& ctx, const SummaConfig& cfg,
-                      const coll::Comm& my_row, const coll::Comm& my_col,
-                      i64 i, i64 j, const std::vector<T>& a_own,
-                      const std::vector<T>& b_own, Matrix<T>& c_block) {
-  ckpt::PlainSessionT<T> session(ctx);
-  summa_stages<T>(session, cfg, my_row, my_col, i, j, a_own, b_own, c_block);
-}
-
-template <typename T, typename Session>
-Block2DOutputT<T> summa_body(Session& session, const SummaConfig& cfg) {
-  const i64 g = cfg.g;
-  CAMB_CHECK_MSG(g * g == session.nprocs(), "SUMMA machine size must be g*g");
-  const i64 i = session.rank() / g;
-  const i64 j = session.rank() % g;
-  const BlockDist1D d1(cfg.shape.n1, g), d2(cfg.shape.n2, g),
-      d3(cfg.shape.n3, g);
-
-  // Owned blocks, generated in place.
-  const std::vector<T> a_own =
-      fill_chunk_pattern<T>(full_block(d1, i, d2, j), cfg.integer_inputs);
-  const std::vector<T> b_own =
-      fill_chunk_pattern<T>(full_block(d2, i, d3, j), cfg.integer_inputs);
-
-  Block2DOutputT<T> out;
-  out.row0 = d1.start(i);
-  out.col0 = d3.start(j);
-  out.block = Matrix<T>(d1.size(i), d3.size(j));
-
-  // Fiber comms by logical rank: the row of (i, .) and the column of (., j).
-  const GridMap map(Grid3{g, g, 1});
-  const coll::Comm my_row = session.comm(map.fiber(1, i, j, 0));
-  const coll::Comm my_col = session.comm(map.fiber(0, i, j, 0));
-  summa_stages<T>(session, cfg, my_row, my_col, i, j, a_own, b_own, out.block);
   return out;
 }
 
@@ -101,13 +79,11 @@ Block2DOutputT<T> summa_rank(RankCtx& ctx, const SummaConfig& cfg) {
 }
 
 #define CAMB_INSTANTIATE(T)                                                 \
-  template void summa_stage_loop<T>(RankCtx&, const SummaConfig&,           \
-                                    const coll::Comm&, const coll::Comm&,   \
-                                    i64, i64, const std::vector<T>&,        \
-                                    const std::vector<T>&, Matrix<T>&);     \
   template Block2DOutputT<T> summa_body<T>(ckpt::PlainSessionT<T>&,         \
                                            const SummaConfig&);             \
   template Block2DOutputT<T> summa_body<T>(ckpt::SessionT<T>&,              \
+                                           const SummaConfig&);             \
+  template Block2DOutputT<T> summa_body<T>(ckpt::ElasticSessionT<T>&,       \
                                            const SummaConfig&);             \
   template Block2DOutputT<T> summa_rank<T>(RankCtx&, const SummaConfig&);
 CAMB_FOR_EACH_SCALAR(CAMB_INSTANTIATE)

@@ -37,10 +37,12 @@ struct Block2DOutputT {
 };
 using Block2DOutput = Block2DOutputT<double>;
 
-/// The one SPMD body of SUMMA, for either session (collectives/rollback.hpp):
+/// The one SPMD body of SUMMA, for every session (collectives/rollback.hpp):
 /// under ckpt::SessionT it commits the C block after every stage and
-/// resumes from the last committed one.  Inputs are generated with the
-/// indexed pattern.  Instantiated for the CAMB_FOR_EACH_SCALAR set.
+/// resumes from the last committed one; under ckpt::ElasticSessionT it runs
+/// on a survivors' re-planned grid (matmul/elastic.hpp).  The owned blocks
+/// come through the session's input hook (the indexed pattern, or migrated
+/// panels).  Instantiated for the CAMB_FOR_EACH_SCALAR set.
 template <typename T, typename Session>
 Block2DOutputT<T> summa_body(Session& session, const SummaConfig& cfg);
 
@@ -48,16 +50,6 @@ Block2DOutputT<T> summa_body(Session& session, const SummaConfig& cfg);
 /// call sites source-compatible.
 template <typename T = double>
 Block2DOutputT<T> summa_rank(RankCtx& ctx, const SummaConfig& cfg);
-
-/// The g-stage broadcast loop (summa_body's, on a plain session),
-/// parameterized by the fiber comms so the same code runs on a survivors'
-/// recovery grid (the elastic variant).  (i, j) is this rank's logical grid
-/// position, a_own / b_own its owned blocks; C accumulates into `c_block`.
-template <typename T>
-void summa_stage_loop(RankCtx& ctx, const SummaConfig& cfg,
-                      const coll::Comm& my_row, const coll::Comm& my_col,
-                      i64 i, i64 j, const std::vector<T>& a_own,
-                      const std::vector<T>& b_own, Matrix<T>& c_block);
 
 /// Exact predicted received words for `rank` (binomial broadcasts: every
 /// non-root of a stage receives the panel once).

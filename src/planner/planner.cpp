@@ -1,7 +1,6 @@
 #include "planner/planner.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <exception>
 #include <thread>
 #include <unordered_map>
@@ -18,52 +17,10 @@ ShapeFacts make_shape_facts(const core::Shape& shape) {
                  "shape dimensions must be >= 1");
   ShapeFacts facts;
   facts.sorted = core::sort_dims(shape);
-  facts.m = static_cast<double>(facts.sorted.m);
-  facts.n = static_cast<double>(facts.sorted.n);
-  facts.k = static_cast<double>(facts.sorted.k);
-  // Every product below mirrors the exact (left-associative) expression in
-  // core/bounds.cpp and core/optimization.cpp, so evaluating Theorem 3 and
-  // the regime test on these cached values is bit-identical to the core.
-  facts.mn = facts.m * facts.n;
-  facts.mk = facts.m * facts.k;
-  facts.nk = facts.n * facts.k;
-  facts.mnk = facts.mn * facts.k;
-  facts.mnkk = facts.mnk * facts.k;
-  facts.faces = facts.mn + facts.mk + facts.nk;
-  facts.boundary_1d = facts.m / facts.n;
-  facts.boundary_2d = facts.mn / (facts.k * facts.k);
+  static_cast<core::BoundProducts&>(facts) = core::bound_products(
+      static_cast<double>(facts.sorted.m), static_cast<double>(facts.sorted.n),
+      static_cast<double>(facts.sorted.k));
   return facts;
-}
-
-/// Theorem 3 on cached products: bit-identical replay of
-/// core::memory_independent_bound_sorted (expression-for-expression), with
-/// the classify_regime boundary comparisons answered from the memoized
-/// arXiv:1202.3177 crossings.
-core::BoundResult bound_at(const ShapeFacts& facts, double P) {
-  core::BoundResult out;
-  out.regime = P <= facts.boundary_1d   ? core::RegimeCase::kOneD
-               : P <= facts.boundary_2d ? core::RegimeCase::kTwoD
-                                        : core::RegimeCase::kThreeD;
-  switch (out.regime) {
-    case core::RegimeCase::kOneD:
-      out.leading_term = facts.nk;
-      out.constant = 1.0;
-      out.D = (facts.mn + facts.mk) / P + facts.nk;
-      break;
-    case core::RegimeCase::kTwoD:
-      out.leading_term = std::sqrt(facts.mnkk / P);
-      out.constant = 2.0;
-      out.D = 2.0 * out.leading_term + facts.mn / P;
-      break;
-    case core::RegimeCase::kThreeD:
-      out.leading_term = std::pow(facts.mnk / P, 2.0 / 3.0);
-      out.constant = 3.0;
-      out.D = 3.0 * out.leading_term;
-      break;
-  }
-  out.owned = facts.faces / P;
-  out.words = std::max(0.0, out.D - out.owned);
-  return out;
 }
 
 /// The shared solver: both the service's cold path and plan_uncached call
@@ -74,7 +31,7 @@ PlanResult plan_with(const core::Shape& shape, i64 P, const ShapeFacts& facts,
   result.grid = core::best_integer_grid_over(shape, triples);
   result.cost_words = core::alg1_cost_words(shape, result.grid);
   const core::BoundResult bound =
-      bound_at(facts, static_cast<double>(P));
+      core::memory_independent_bound_at(facts, static_cast<double>(P));
   result.regime = bound.regime;
   result.bound_words = bound.words;
   result.ratio =
@@ -234,7 +191,8 @@ SweepResult GridPlanner::plan_sweep(const core::Shape& shape,
     CAMB_CHECK_MSG(P >= 1, "sweep processor counts must be >= 1");
     SweepPoint pt;
     pt.P = P;
-    const core::BoundResult bound = bound_at(facts, static_cast<double>(P));
+    const core::BoundResult bound =
+        core::memory_independent_bound_at(facts, static_cast<double>(P));
     pt.regime = bound.regime;
     pt.bound_words = bound.words;
     pt.real = core::optimal_grid_real(facts.m, facts.n, facts.k,

@@ -62,22 +62,12 @@ struct PlanResult {
   bool operator==(const PlanResult&) const = default;
 };
 
-/// Cached per-shape structure: sorted dims as doubles, the products the
-/// Theorem 3 formulas consume, and the strong-scaling regime boundaries of
-/// arXiv:1202.3177 (crossing P1 moves 1D→2D, crossing P2 moves 2D→3D).
-/// Every product mirrors the exact expression shape of core/bounds.cpp and
-/// core/optimization.cpp so downstream evaluation is bit-identical.
-struct ShapeFacts {
+/// Cached per-shape structure: the sorted dims and the Theorem 3 products
+/// (core::BoundProducts, including the strong-scaling regime boundaries of
+/// arXiv:1202.3177: crossing P1 moves 1D→2D, crossing P2 moves 2D→3D), so
+/// core::memory_independent_bound_at answers every P from the cache.
+struct ShapeFacts : core::BoundProducts {
   core::SortedDims sorted;
-  double m = 1, n = 1, k = 1;
-  double mn = 1;           ///< m * n
-  double mk = 1;           ///< m * k
-  double nk = 1;           ///< n * k
-  double mnk = 1;          ///< (m * n) * k
-  double mnkk = 1;         ///< ((m * n) * k) * k
-  double faces = 3;        ///< (m*n + m*k) + n*k — the owned numerator
-  double boundary_1d = 1;  ///< P1 = m / n
-  double boundary_2d = 1;  ///< P2 = (m * n) / (k * k)
 };
 
 /// One maximal run of consecutive sweep points sharing a regime.

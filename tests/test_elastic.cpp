@@ -1,7 +1,8 @@
-// Elastic shrink-and-regrid acceptance battery: the three elastic twins
-// (summa / grid3d / alg25d) must degrade onto the optimal grid for the
-// surviving P′ without ever hanging, answering wrong, or silently
-// over-communicating.  The invariants are exact, not statistical:
+// Elastic shrink-and-regrid acceptance battery: the three elastic-capable
+// runners (summa / grid3d / alg25d with opts.elastic.enabled) must degrade
+// onto the optimal grid for the surviving P′ without ever hanging, answering
+// wrong, or silently over-communicating.  The invariants are exact, not
+// statistical:
 //
 //   * a clean elastic run is word-identical to the base algorithm, rank by
 //     rank, and bit-identical in C;
@@ -16,7 +17,8 @@
 //     word-exact on clean elastic runs and crashed runs still heal with
 //     zero escapes;
 //   * rival recovery disciplines (rollback, memory SDC) are rejected up
-//     front rather than composed wrongly.
+//     front rather than composed wrongly, and so is the elastic switch on an
+//     algorithm without an elastic re-plan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,15 +29,16 @@
 
 #include "collectives/coll_cost.hpp"
 #include "machine/faults.hpp"
+#include "matmul/algorithm_registry.hpp"
 #include "matmul/elastic.hpp"
 #include "matmul/runner.hpp"
 
 namespace camb::mm {
 namespace {
 
-// One case per elastic twin.  integer_inputs is forced on so the base runs
-// produce the same bits the elastic twins do (the twins force it for
-// rounded scalars to keep C grid-independent).
+// One case per elastic-capable runner.  integer_inputs is forced on so the
+// base runs produce the same bits the elastic runs do (elastic runs force
+// it for rounded scalars to keep C grid-independent).
 const SummaConfig kSumma = [] {
   SummaConfig cfg{{18, 15, 12}, 3};
   cfg.integer_inputs = true;
@@ -66,6 +69,13 @@ RunOptions elastic_opts(std::uint64_t master_seed) {
   return opts;
 }
 
+/// The same run without the elastic switch: the base algorithm.
+RunOptions base_opts(std::uint64_t master_seed) {
+  RunOptions opts = elastic_opts(master_seed);
+  opts.elastic.enabled = false;
+  return opts;
+}
+
 /// Arm an enlistment-window crash: positions in [0, P-2] all land inside
 /// the first zero-word probe round, so the dying rank never acknowledges
 /// round B and recovery starts with zero data words moved — the scenario
@@ -83,15 +93,15 @@ RunOptions enlistment_crash_opts(std::uint64_t master_seed,
 /// Fault-free elastic baselines (threads scheduler; the sweep separately
 /// pins fibers word-exact, and output bits are scheduler-independent).
 const RunReport& clean_summa_elastic() {
-  static const RunReport r = run_summa_elastic(kSumma, elastic_opts(1));
+  static const RunReport r = run_summa(kSumma, elastic_opts(1));
   return r;
 }
 const RunReport& clean_grid3d_elastic() {
-  static const RunReport r = run_grid3d_elastic(kGrid3d, elastic_opts(1));
+  static const RunReport r = run_grid3d(kGrid3d, elastic_opts(1));
   return r;
 }
 const RunReport& clean_alg25d_elastic() {
-  static const RunReport r = run_alg25d_elastic(kAlg25d, elastic_opts(1));
+  static const RunReport r = run_alg25d(kAlg25d, elastic_opts(1));
   return r;
 }
 
@@ -177,27 +187,27 @@ void expect_clean_matches_base(const RunReport& base, const RunReport& elastic,
 }
 
 TEST(ElasticClean, SummaIsWordIdenticalToBase) {
-  const RunReport base = run_summa(kSumma, elastic_opts(1));
+  const RunReport base = run_summa(kSumma, base_opts(1));
   const ElasticConfig ecfg{true, 1};
   expect_clean_matches_base(
       base, clean_summa_elastic(),
-      summa_elastic_prediction(kSumma, ecfg, {}, kSummaP, 1.0), "summa");
+      elastic_prediction(kSumma, ecfg, {}, kSummaP, 1.0), "summa");
 }
 
 TEST(ElasticClean, Grid3dIsWordIdenticalToBase) {
-  const RunReport base = run_grid3d(kGrid3d, elastic_opts(1));
+  const RunReport base = run_grid3d(kGrid3d, base_opts(1));
   const ElasticConfig ecfg{true, 1};
   expect_clean_matches_base(
       base, clean_grid3d_elastic(),
-      grid3d_elastic_prediction(kGrid3d, ecfg, {}, kGridP, 1.0), "grid3d");
+      elastic_prediction(kGrid3d, ecfg, {}, kGridP, 1.0), "grid3d");
 }
 
 TEST(ElasticClean, Alg25dIsWordIdenticalToBase) {
-  const RunReport base = run_alg25d(kAlg25d, elastic_opts(1));
+  const RunReport base = run_alg25d(kAlg25d, base_opts(1));
   const ElasticConfig ecfg{true, 1};
   expect_clean_matches_base(
       base, clean_alg25d_elastic(),
-      alg25d_elastic_prediction(kAlg25d, ecfg, {}, kAlgP, 1.0), "alg25d");
+      elastic_prediction(kAlg25d, ecfg, {}, kAlgP, 1.0), "alg25d");
 }
 
 // ---------------------------------------------------------------------------
@@ -218,10 +228,10 @@ TEST_P(ElasticCrashSweep, ShrinksWordExactlyAndBitIdentically) {
     const int dead = seed_idx % static_cast<int>(kSummaP);
     RunOptions opts = enlistment_crash_opts(master_seed, {dead}, kSummaP);
     opts.scheduler.kind = kind;
-    const RunReport report = run_summa_elastic(kSumma, opts);
+    const RunReport report = run_summa(kSumma, opts);
     expect_pinned_to_prediction(
         report, clean_summa_elastic(),
-        summa_elastic_prediction(kSumma, ecfg, report.elastic.failed,
+        elastic_prediction(kSumma, ecfg, report.elastic.failed,
                                  static_cast<int>(kSummaP), 1.0),
         "summa seed=" + std::to_string(seed_idx) + " dead=" +
             std::to_string(dead));
@@ -230,10 +240,10 @@ TEST_P(ElasticCrashSweep, ShrinksWordExactlyAndBitIdentically) {
     const int dead = seed_idx % static_cast<int>(kGridP);
     RunOptions opts = enlistment_crash_opts(master_seed, {dead}, kGridP);
     opts.scheduler.kind = kind;
-    const RunReport report = run_grid3d_elastic(kGrid3d, opts);
+    const RunReport report = run_grid3d(kGrid3d, opts);
     expect_pinned_to_prediction(
         report, clean_grid3d_elastic(),
-        grid3d_elastic_prediction(kGrid3d, ecfg, report.elastic.failed,
+        elastic_prediction(kGrid3d, ecfg, report.elastic.failed,
                                   static_cast<int>(kGridP), 1.0),
         "grid3d seed=" + std::to_string(seed_idx) + " dead=" +
             std::to_string(dead));
@@ -242,10 +252,10 @@ TEST_P(ElasticCrashSweep, ShrinksWordExactlyAndBitIdentically) {
     const int dead = seed_idx % static_cast<int>(kAlgP);
     RunOptions opts = enlistment_crash_opts(master_seed, {dead}, kAlgP);
     opts.scheduler.kind = kind;
-    const RunReport report = run_alg25d_elastic(kAlg25d, opts);
+    const RunReport report = run_alg25d(kAlg25d, opts);
     expect_pinned_to_prediction(
         report, clean_alg25d_elastic(),
-        alg25d_elastic_prediction(kAlg25d, ecfg, report.elastic.failed,
+        elastic_prediction(kAlg25d, ecfg, report.elastic.failed,
                                   static_cast<int>(kAlgP), 1.0),
         "alg25d seed=" + std::to_string(seed_idx) + " dead=" +
             std::to_string(dead));
@@ -265,12 +275,12 @@ TEST(ElasticCrash, TwoFailuresAgreeInOneRound) {
   const ElasticConfig ecfg{true, 2};
   RunOptions opts =
       enlistment_crash_opts(0x2FA1, {2, 5}, kSummaP, /*max_failures=*/2);
-  const RunReport report = run_summa_elastic(kSumma, opts);
+  const RunReport report = run_summa(kSumma, opts);
   ASSERT_EQ(report.recovery.crashed.size(), 2u)
       << "both crashes must fire in the enlistment window";
   expect_pinned_to_prediction(
       report, clean_summa_elastic(),
-      summa_elastic_prediction(kSumma, ecfg, report.elastic.failed,
+      elastic_prediction(kSumma, ecfg, report.elastic.failed,
                                static_cast<int>(kSummaP), 1.0),
       "summa two-failure");
   EXPECT_EQ(report.elastic.survivors, kSummaP - 2);
@@ -287,7 +297,7 @@ TEST(ElasticCrash, ShrinkFloodScalesWithFailureBudget) {
 
   RunOptions opts =
       enlistment_crash_opts(0x2FA2, {4}, kSummaP, /*max_failures=*/2);
-  const RunReport report = run_summa_elastic(kSumma, opts);
+  const RunReport report = run_summa(kSumma, opts);
   ASSERT_FALSE(report.recovery.crashed.empty());
   EXPECT_EQ(report.elastic.shrink_recv_words, static_cast<double>(f2));
 }
@@ -304,15 +314,15 @@ TEST(ElasticDtype, CrashPinnedWordExactAcrossDtypes) {
     const std::string label = std::string("summa elastic ") + dtype_name(dt);
     RunOptions clean_opts = elastic_opts(3);
     clean_opts.dtype = dt;
-    const RunReport clean = run_summa_elastic(kSumma, clean_opts);
+    const RunReport clean = run_summa(kSumma, clean_opts);
     ASSERT_TRUE(clean.verified) << label;
 
     RunOptions opts = enlistment_crash_opts(0xD7E + 0, {4}, kSummaP);
     opts.dtype = dt;
-    const RunReport report = run_summa_elastic(kSumma, opts);
+    const RunReport report = run_summa(kSumma, opts);
     expect_pinned_to_prediction(
         report, clean,
-        summa_elastic_prediction(kSumma, ecfg, report.elastic.failed,
+        elastic_prediction(kSumma, ecfg, report.elastic.failed,
                                  static_cast<int>(kSummaP),
                                  dtype_width_words(dt)),
         label);
@@ -333,9 +343,9 @@ TEST(ElasticDtype, CrashPinnedWordExactAcrossDtypes) {
 TEST(ElasticSchedulerEquivalence, FiberTwinIsWordExactUnderCrash) {
   RunOptions opts = enlistment_crash_opts(0xF1B, {3}, kGridP);
   opts.scheduler.kind = SchedulerKind::kThreads;
-  const RunReport threads = run_grid3d_elastic(kGrid3d, opts);
+  const RunReport threads = run_grid3d(kGrid3d, opts);
   opts.scheduler.kind = SchedulerKind::kFibers;
-  const RunReport fibers = run_grid3d_elastic(kGrid3d, opts);
+  const RunReport fibers = run_grid3d(kGrid3d, opts);
   ASSERT_FALSE(threads.recovery.crashed.empty());
   EXPECT_EQ(fibers.recovery.crashed, threads.recovery.crashed);
   EXPECT_EQ(fibers.elastic.failed, threads.elastic.failed);
@@ -362,8 +372,8 @@ TEST(ElasticSdc, CleanRunRepaysTransportTaxExactly) {
   opts.sdc.reliable = true;
   opts.sdc.sdc_seed_override = 0x5E1A;
   opts.collect_trace = true;
-  const RunReport faulted = run_summa_elastic(kSumma, opts);
-  const RunReport clean = run_summa_elastic(kSumma, elastic_opts(7));
+  const RunReport faulted = run_summa(kSumma, opts);
+  const RunReport clean = run_summa(kSumma, elastic_opts(7));
   const std::string label =
       "summa elastic sdc " + faulted.corruption.summary();
 
@@ -409,7 +419,7 @@ TEST_P(ElasticSdcCrash, ShrinksBitIdenticallyWhileHealingTransport) {
   opts.sdc.reliable = true;
   opts.sdc.sdc_seed_override = 0x5E1B;
   opts.scheduler.kind = GetParam();
-  const RunReport report = run_summa_elastic(kSumma, opts);
+  const RunReport report = run_summa(kSumma, opts);
   const std::string label =
       "summa elastic crash+sdc " + report.corruption.summary();
 
@@ -446,12 +456,71 @@ TEST(ElasticRejections, RollbackAndMemorySdcDoNotCompose) {
     RunOptions opts = elastic_opts(1);
     opts.checkpoint.interval = 2;
     opts.checkpoint.spares = 1;
-    EXPECT_THROW(run_summa_elastic(kSumma, opts), Error);
+    EXPECT_THROW(run_summa(kSumma, opts), Error);
   }
   {
     RunOptions opts = elastic_opts(1);
     opts.sdc.mem_rate = 0.5;
-    EXPECT_THROW(run_grid3d_elastic(kGrid3d, opts), Error);
+    EXPECT_THROW(run_grid3d(kGrid3d, opts), Error);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The elastic switch is read once, by the runner's composition check.
+// ---------------------------------------------------------------------------
+
+// Every registry entry with an elastic re-plan runs elastic under the
+// switch; every other entry rejects it with a named error instead of
+// quietly running plain.
+TEST(ElasticSwitch, EveryRegistryEntryRunsElasticOrRejects) {
+  const Shape shape{16, 16, 16};
+  const std::vector<std::string> capable = {
+      "grid3d_optimal", "summa",          "alg25d",
+      "summa_elastic",  "grid3d_elastic", "alg25d_elastic"};
+  int elastic_runs = 0;
+  for (const AlgorithmInfo& algo : algorithm_registry()) {
+    i64 p = 0;
+    for (i64 candidate : {8, 9, 16}) {
+      if (algo.supports(shape, candidate)) {
+        p = candidate;
+        break;
+      }
+    }
+    ASSERT_GT(p, 0) << algo.name << " supports none of P in {8, 9, 16}";
+    const RunOptions opts = elastic_opts(5);
+    if (std::find(capable.begin(), capable.end(), algo.name) !=
+        capable.end()) {
+      const RunReport report = algo.run_opts(shape, p, opts);
+      EXPECT_TRUE(report.elastic.enabled) << algo.name;
+      EXPECT_TRUE(report.verified) << algo.name;
+      EXPECT_EQ(report.measured_critical_recv, report.predicted_words())
+          << algo.name;
+      ++elastic_runs;
+    } else {
+      EXPECT_THROW(algo.run_opts(shape, p, opts), Error) << algo.name;
+    }
+  }
+  EXPECT_EQ(elastic_runs, static_cast<int>(capable.size()));
+}
+
+// Under the switch the plain SUMMA runner shrinks past a crash instead of
+// failing with PeerFailedError.
+TEST(ElasticSwitch, BaseRunnerShrinksPastACrash) {
+  const RunReport report =
+      run_summa(kSumma, enlistment_crash_opts(0x5A, {3}, kSummaP));
+  ASSERT_FALSE(report.recovery.crashed.empty());
+  EXPECT_TRUE(report.verified);
+  EXPECT_GE(report.elastic.rounds, 1);
+  EXPECT_EQ(report.output_hash, clean_summa_elastic().output_hash);
+}
+
+// The failure budget is validated with the other composition rules, before
+// any machine is built.
+TEST(ElasticSwitch, FailureBudgetOutOfRangeIsRejected) {
+  for (int budget : {-1, 31}) {
+    RunOptions opts = elastic_opts(1);
+    opts.elastic.max_failures = budget;
+    EXPECT_THROW(run_grid3d(kGrid3d, opts), Error) << budget;
   }
 }
 
