@@ -177,12 +177,18 @@ MixResult bench_mix(const std::string& mix,
   out.mix = mix;
   out.queries = stream.size();
 
-  volatile double sink = 0;  // keep the optimizer honest
+  // Keeps the optimizer honest.  Plain `=`: C++20 deprecates compound
+  // assignment to a volatile.
+  volatile double sink = 0;
   // Warm pass (fills the caches the long-lived service would hold), then
   // the wall-clocked throughput pass.
-  for (const std::size_t i : stream) sink += service.plan(pool[i]).cost_words;
+  for (const std::size_t i : stream) {
+    sink = sink + service.plan(pool[i]).cost_words;
+  }
   const auto t0 = Clock::now();
-  for (const std::size_t i : stream) sink += service.plan(pool[i]).cost_words;
+  for (const std::size_t i : stream) {
+    sink = sink + service.plan(pool[i]).cost_words;
+  }
   const auto t1 = Clock::now();
   out.qps = static_cast<double>(stream.size()) / secs(t0, t1);
 
@@ -190,7 +196,7 @@ MixResult bench_mix(const std::string& mix,
   std::vector<double> ns(stream.size());
   for (std::size_t q = 0; q < stream.size(); ++q) {
     const auto a = Clock::now();
-    sink += service.plan(pool[stream[q]]).cost_words;
+    sink = sink + service.plan(pool[stream[q]]).cost_words;
     const auto b = Clock::now();
     ns[q] = secs(a, b) * 1e9;
   }
@@ -211,7 +217,7 @@ MixResult bench_mix(const std::string& mix,
   const std::size_t nb = std::min(baseline_queries, stream.size());
   const auto b0 = Clock::now();
   for (std::size_t q = 0; q < nb; ++q) {
-    sink += planner::plan_uncached(pool[stream[q]]).cost_words;
+    sink = sink + planner::plan_uncached(pool[stream[q]]).cost_words;
   }
   const auto b1 = Clock::now();
   out.uncached_ns = secs(b0, b1) * 1e9 / static_cast<double>(nb);
@@ -237,7 +243,7 @@ double bench_threads(int threads, const std::vector<planner::PlanRequest>& pool,
                               static_cast<std::size_t>(t + 1) /
                               static_cast<std::size_t>(threads);
       for (std::size_t q = begin; q < end; ++q) {
-        sink += service.plan(pool[stream[q]]).cost_words;
+        sink = sink + service.plan(pool[stream[q]]).cost_words;
       }
       (void)sink;
     });

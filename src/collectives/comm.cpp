@@ -1,25 +1,29 @@
 #include "collectives/comm.hpp"
 
+#include <algorithm>
 #include <numeric>
 
 namespace camb::coll {
 
 namespace {
 
-/// Single-pass validation: range check plus a seen-bitmask for duplicates
-/// (O(p), replacing the old validate_group's O(p^2) pairwise scan).
+/// Range check, then duplicates via a sorted copy of the member list:
+/// O(p log p) in the comm size p, never O(P) in the machine size — every
+/// rank builds its row and column comms, so a machine-sized mask would make
+/// comm construction O(P^2) per run.
 int validate_and_find(const std::vector<int>& ranks, int nprocs, int me) {
   CAMB_CHECK_MSG(!ranks.empty(), "comm must have at least one member");
-  std::vector<char> seen(static_cast<std::size_t>(nprocs), 0);
   int my_index = -1;
   for (std::size_t i = 0; i < ranks.size(); ++i) {
     const int r = ranks[i];
     CAMB_CHECK_MSG(r >= 0 && r < nprocs, "comm rank out of range");
-    CAMB_CHECK_MSG(!seen[static_cast<std::size_t>(r)],
-                   "comm ranks must be distinct");
-    seen[static_cast<std::size_t>(r)] = 1;
     if (r == me) my_index = static_cast<int>(i);
   }
+  std::vector<int> sorted = ranks;
+  std::sort(sorted.begin(), sorted.end());
+  CAMB_CHECK_MSG(std::adjacent_find(sorted.begin(), sorted.end()) ==
+                     sorted.end(),
+                 "comm ranks must be distinct");
   return my_index;
 }
 

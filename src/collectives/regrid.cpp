@@ -156,7 +156,7 @@ RegridResult<T> regrid(const Comm& comm, const RegridPlan& plan,
   CAMB_CHECK(panels_elems(my_old) == static_cast<i64>(my_old_a.size()) +
                                          static_cast<i64>(my_old_b.size()));
 
-  ctx.set_phase(kPhaseElasticRegrid);
+  ctx.set_phase(kPhaseElasticRegridId);
   // One tag block, one tag: per-pair messages are distinguished by source.
   const int tag = comm.take_tag_block();
 

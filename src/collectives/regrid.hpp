@@ -34,12 +34,14 @@
 #include <vector>
 
 #include "collectives/comm.hpp"
+#include "machine/phase.hpp"
 
 namespace camb::coll {
 
 /// Phase label for all regrid traffic (words land here, not in the
 /// algorithm phases, so the migration tax is separately observable).
 inline constexpr const char* kPhaseElasticRegrid = "elastic_regrid";
+inline const PhaseId kPhaseElasticRegridId{kPhaseElasticRegrid};
 
 /// One contiguous span of an input matrix in global row-major cell-index
 /// space: cells [start, start + len) of matrix 0 (= A) or 1 (= B).

@@ -89,7 +89,7 @@ bool RollbackStateT<T>::round_sync(bool exec_success) {
   CAMB_CHECK_MSG(round_ < kMaxRounds, "rollback rounds exhausted tag space");
   const int P = cfg_.nprocs;
   const int me = ctx_.rank();
-  ctx_.set_phase(kPhaseCkptShrink);
+  ctx_.set_phase(kPhaseCkptShrinkId);
   ctx_.tags().set_recovery_cursor(sync_band(round_));
 
   // Flood comm over the full physical machine (membership is never in
@@ -272,15 +272,15 @@ bool RollbackStateT<T>::round_sync(bool exec_success) {
       if (me == holder) {
         const SnapshotT<T>* snap = store_.ward(epoch);
         CAMB_CHECK_MSG(snap != nullptr, "agreed ward epoch missing");
-        ctx_.set_phase(kPhaseCkptRollback);
+        ctx_.set_phase(kPhaseCkptRollbackId);
         ctx_.send(recruit, tag, Buffer::adopt(snapshot_to_wire(*snap)));
-        ctx_.set_phase(kPhaseCkptShrink);
+        ctx_.set_phase(kPhaseCkptShrinkId);
       }
       if (me == recruit) {
-        ctx_.set_phase(kPhaseCkptRollback);
+        ctx_.set_phase(kPhaseCkptRollbackId);
         SnapshotT<T> snap = snapshot_from_wire(
             std::move(ctx_.recv(holder, tag)).template take_as<T>());
-        ctx_.set_phase(kPhaseCkptShrink);
+        ctx_.set_phase(kPhaseCkptShrinkId);
         CAMB_CHECK(snap.epoch == epoch);
         store_.put_own(std::move(snap));
       }
@@ -334,7 +334,7 @@ void SessionT<T>::boundary(i64 step,
       rb_.hosts()[static_cast<std::size_t>(ckpt_ward(logical_, P, stride))];
   SnapshotT<T> snap = make();
   snap.epoch = epoch;
-  this->ctx().set_phase(kPhaseCheckpoint);
+  this->ctx().set_phase(kPhaseCheckpointId);
   // Pairwise ring: buffered send to the buddy's host first, then the
   // blocking receive of the ward copy — deadlock-free by construction.
   const int tag = commit_base_ + static_cast<int>(epoch);

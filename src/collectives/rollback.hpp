@@ -56,12 +56,16 @@
 #include "collectives/comm.hpp"
 #include "machine/checkpoint.hpp"
 #include "machine/faults.hpp"
+#include "machine/phase.hpp"
 
 namespace camb::ckpt {
 
 inline constexpr const char* kPhaseCheckpoint = "checkpoint";
 inline constexpr const char* kPhaseCkptShrink = "ckpt_shrink";
 inline constexpr const char* kPhaseCkptRollback = "ckpt_rollback";
+inline const PhaseId kPhaseCheckpointId{kPhaseCheckpoint};
+inline const PhaseId kPhaseCkptShrinkId{kPhaseCkptShrink};
+inline const PhaseId kPhaseCkptRollbackId{kPhaseCkptRollback};
 
 /// Tag blocks per band: 2^13 blocks = 2^25 tags, 15 full rounds in the
 /// recovery region.

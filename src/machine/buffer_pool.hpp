@@ -148,7 +148,9 @@ class Buffer {
     // An empty payload may have no storage: memcpy from null is undefined
     // even for zero bytes.
     if (elems_ == 0) return;
-    std::memcpy(dst, storage_.data(),
+    // Through void*: T may be a non-trivial scalar (kahan), which GCC's
+    // -Wclass-memaccess flags on a typed destination.
+    std::memcpy(static_cast<void*>(dst), storage_.data(),
                 static_cast<std::size_t>(elems_) * sizeof(T));
   }
 

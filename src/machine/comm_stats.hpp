@@ -8,8 +8,14 @@
 //
 // Conventions:
 //  * one "word" = one element of the payload (double);
+//  * phases are interned PhaseIds (machine/phase.hpp): set_phase stores an
+//    id and a slot index, record_send/record_receive add into the active
+//    slot — no string, map or lock on the message path;
 //  * per-rank counters are only ever written by that rank's thread, so they
-//    are plain (cache-line padded) fields, not atomics;
+//    are plain fields in a cache-line padded per-rank slot, not atomics.
+//    Each rank keeps a flat PhaseCounters array holding one entry per phase
+//    it has used, reached through a small per-rank id -> slot table, so the
+//    footprint grows with the phases a rank touches, not the registry size;
 //  * the bandwidth cost of an algorithm in the α-β model is reported as the
 //    maximum over ranks of received words (for the symmetric, bidirectional-
 //    exchange collectives used here, sent == received per rank, matching the
@@ -18,11 +24,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "machine/phase.hpp"
+#include "util/error.hpp"
 #include "util/math.hpp"
 
 namespace camb {
@@ -109,22 +116,46 @@ class CommStats {
 
   int nprocs() const { return nprocs_; }
 
-  /// Set the active phase label for a rank (e.g. "allgather_A").  Subsequent
-  /// traffic by that rank is attributed to this phase.  Called by the rank's
-  /// own thread only.
-  void set_phase(int rank, std::string phase);
-  const std::string& phase(int rank) const;
+  /// Set the active phase of a rank.  Subsequent traffic by that rank is
+  /// attributed to this phase.  Called by the rank's own thread only; two
+  /// stores once the rank has used the phase before.
+  void set_phase(int rank, PhaseId phase) {
+    CAMB_CHECK(rank >= 0 && rank < nprocs_);
+    RankSlot& s = slots_[static_cast<std::size_t>(rank)];
+    const auto id = static_cast<std::size_t>(phase.value());
+    if (id >= s.slot_of.size() || s.slot_of[id] < 0 ||
+        (s.slot_of[id] & kNoted) == 0) {
+      first_set(rank, phase);
+    }
+    s.active = phase;
+    s.active_slot = s.slot_of[id] >> 1;
+  }
+  PhaseId phase(int rank) const {
+    CAMB_CHECK(rank >= 0 && rank < nprocs_);
+    return slots_[static_cast<std::size_t>(rank)].active;
+  }
 
   /// Record a message. Called from the sender's thread; the receive half is
   /// attributed to the receiver's currently active phase at receive time via
   /// record_receive (mailbox bookkeeping keeps both ends exact).
-  void record_send(int src, i64 bytes);
-  void record_receive(int dst, i64 bytes);
+  void record_send(int src, i64 bytes) {
+    CAMB_CHECK(src >= 0 && src < nprocs_);
+    PhaseCounters& c = active_counters(src);
+    c.bytes_sent += bytes;
+    c.messages_sent += 1;
+  }
+  void record_receive(int dst, i64 bytes) {
+    CAMB_CHECK(dst >= 0 && dst < nprocs_);
+    PhaseCounters& c = active_counters(dst);
+    c.bytes_received += bytes;
+    c.messages_received += 1;
+  }
 
   /// Totals across all phases for one rank.
   PhaseCounters rank_total(int rank) const;
 
   /// Counters for one rank in one phase (zero if the phase never ran).
+  PhaseCounters rank_phase(int rank, PhaseId phase) const;
   PhaseCounters rank_phase(int rank, const std::string& phase) const;
 
   /// Max over ranks of received words — the bandwidth-cost word count used to
@@ -141,10 +172,12 @@ class CommStats {
   /// Sum over ranks of words sent (total traffic volume on the network).
   double total_words_sent() const;
 
-  /// Max over ranks of received words within a single named phase.
+  /// Max over ranks of received words within a single phase.
+  double phase_critical_path_received_words(PhaseId phase) const;
   double phase_critical_path_received_words(const std::string& phase) const;
 
-  /// All phase names that recorded any traffic, in first-use order.
+  /// Every phase any rank of this machine set, in first-use order (per
+  /// machine, not the process-wide registry order).
   std::vector<std::string> phases() const;
 
   /// Reliable-transport counters for one rank.  The mutable accessor follows
@@ -159,17 +192,39 @@ class CommStats {
   void reset();
 
  private:
+  /// slot_of entries: (slot index << 1) | kNoted, or -1 for a phase the
+  /// rank has neither set nor recorded under.  kNoted marks a phase the
+  /// rank has set at least once (and so has already put on phases()); the
+  /// initial "default" phase gets a slot without it on its first message.
+  static constexpr int kNoted = 1;
+
   struct alignas(64) RankSlot {
-    std::string active_phase = "default";
-    std::map<std::string, PhaseCounters> by_phase;
+    PhaseId active;
+    int active_slot = -1;  ///< index into counters; -1 until first used
+    std::vector<int> slot_of;  ///< by PhaseId::value()
+    std::vector<PhaseCounters> counters;
     TransportCounters transport;
   };
+
+  PhaseCounters& active_counters(int rank) {
+    RankSlot& s = slots_[static_cast<std::size_t>(rank)];
+    if (s.active_slot < 0) s.active_slot = add_slot(s, s.active, 0) >> 1;
+    return s.counters[static_cast<std::size_t>(s.active_slot)];
+  }
+
+  /// A rank's first set_phase of `phase`: give it a counters slot if it has
+  /// none, mark it noted, and add its name to phase_order_ once per machine.
+  void first_set(int rank, PhaseId phase);
+
+  /// Append a zeroed counters slot for `phase` and return its slot_of entry.
+  static int add_slot(RankSlot& s, PhaseId phase, int flags);
+
+  const PhaseCounters* find(int rank, PhaseId phase) const;
+
   int nprocs_;
   std::vector<RankSlot> slots_;
-  std::vector<std::string> phase_order_;  // guarded by phase_mutex_
+  std::vector<PhaseId> phase_order_;  // guarded by phase_mutex_
   mutable std::mutex phase_mutex_;
-
-  void note_phase_name(const std::string& phase);
 };
 
 }  // namespace camb

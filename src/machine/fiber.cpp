@@ -319,13 +319,13 @@ void FiberWaitList::notify_all() {
   // negative here is impossible for a fiber that observed the pre-notify
   // state.
   if (!maybe_waiters_.load(std::memory_order_acquire)) return;
-  std::vector<Fiber*> taken;
-  {
-    std::lock_guard<std::mutex> guard(mutex_);
-    taken.swap(waiters_);
-    maybe_waiters_.store(false, std::memory_order_relaxed);
-  }
-  for (Fiber* fiber : taken) {
+  // Wake under the list's own mutex and clear in place: the vector keeps
+  // its capacity, so the next park allocates nothing (waking outside the
+  // lock would need the waiters swapped into a fresh vector — one
+  // allocation per park).  Lock order is list -> scheduler; nothing takes
+  // them the other way round.
+  std::lock_guard<std::mutex> guard(mutex_);
+  for (Fiber* fiber : waiters_) {
     const int prev = fiber->wake_.exchange(Fiber::kWakeNotified,
                                            std::memory_order_acq_rel);
     // kWakeParking: the scheduler's exchange is still in flight and will
@@ -333,6 +333,8 @@ void FiberWaitList::notify_all() {
     // we requeue.
     if (prev == Fiber::kWakeParked) fiber->sched_.enqueue(fiber);
   }
+  waiters_.clear();
+  maybe_waiters_.store(false, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -535,7 +537,7 @@ Fiber* FiberScheduler::take_next() {
     idx = static_cast<std::size_t>(splitmix64(pick_state_) % runq_.size());
   }
   Fiber* fiber = runq_[idx];
-  runq_.erase(runq_.begin() + static_cast<std::ptrdiff_t>(idx));
+  runq_.erase(idx);
   return fiber;
 }
 

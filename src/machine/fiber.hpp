@@ -40,12 +40,13 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "machine/flat.hpp"
 
 namespace camb {
 
@@ -246,7 +247,7 @@ class FiberScheduler {
 
   std::mutex mutex_;
   std::condition_variable cv_;
-  std::deque<Fiber*> runq_;
+  RingQueue<Fiber*> runq_;  ///< keeps its capacity: enqueue never allocates
   int running_ = 0;   ///< fibers currently on a worker
   int live_ = 0;      ///< fibers not yet done
   bool deadlock_ = false;

@@ -108,8 +108,12 @@ void RankCtx::release_bytes(i64 bytes) {
   current_bytes_ -= bytes;
 }
 
-void RankCtx::set_phase(const std::string& phase) {
+void RankCtx::set_phase(PhaseId phase) {
   machine_.stats().set_phase(rank_, phase);
+}
+
+void RankCtx::set_phase(const std::string& phase) {
+  machine_.stats().set_phase(rank_, PhaseId(phase));
 }
 
 Network& RankCtx::network() { return machine_.network(); }

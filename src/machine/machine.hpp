@@ -110,7 +110,9 @@ class RankCtx {
   /// Crashed and errored ranks are dropped from the barrier automatically.
   void barrier();
 
-  /// Label subsequent traffic of this rank for per-phase accounting.
+  /// Label subsequent traffic of this rank for per-phase accounting.  Pass
+  /// an interned PhaseId on hot paths; the string form interns per call.
+  void set_phase(PhaseId phase);
   void set_phase(const std::string& phase);
 
   /// This rank's logical clock (seconds under the machine's α-β params).

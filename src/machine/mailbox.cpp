@@ -2,15 +2,40 @@
 
 #include <algorithm>
 #include <cassert>
-#include <iterator>
 
 namespace camb {
 
-std::vector<Message>& Mailbox::bucket(int src) { return buckets_[src]; }
+void Mailbox::append(Message msg) {
+  int at = free_;
+  if (at >= 0) {
+    free_ = slab_[static_cast<std::size_t>(at)].next;
+  } else {
+    at = static_cast<int>(slab_.size());
+    slab_.emplace_back();
+  }
+  Node& node = slab_[static_cast<std::size_t>(at)];
+  const int src = msg.src;
+  node.msg = std::move(msg);
+  node.next = -1;
+  Bucket* b = buckets_.find(src);
+  if (b == nullptr) b = &buckets_.insert(src, Bucket{});
+  if (b->tail < 0) {
+    b->head = at;
+  } else {
+    slab_[static_cast<std::size_t>(b->tail)].next = at;
+  }
+  b->tail = at;
+}
 
-std::vector<Message>* Mailbox::find_bucket(int src) {
-  auto it = buckets_.find(src);
-  return it == buckets_.end() ? nullptr : &it->second;
+int Mailbox::find_match(const Bucket& b, int tag, int* prev) const {
+  *prev = -1;
+  for (int at = b.head; at >= 0;) {
+    const Node& node = slab_[static_cast<std::size_t>(at)];
+    if (node.msg.tag == tag) return at;
+    *prev = at;
+    at = node.next;
+  }
+  return -1;
 }
 
 void Mailbox::wait_for_mail(std::unique_lock<std::mutex>& lock) {
@@ -22,27 +47,32 @@ void Mailbox::wait_for_mail(std::unique_lock<std::mutex>& lock) {
 }
 
 void Mailbox::trim_order_front() {
-  while (!stale_.empty() && !order_.empty()) {
-    auto it = stale_.find(order_.front().seq);
-    if (it == stale_.end()) break;
-    stale_.erase(it);
+  while (!stale_.empty() && !order_.empty() &&
+         stale_.erase(order_.front().seq)) {
     order_.pop_front();
   }
 }
 
 Message Mailbox::take_oldest(int src, int tag, bool indexed) {
-  std::vector<Message>* q = find_bucket(src);
-  assert(q != nullptr);
-  auto it = std::find_if(q->begin(), q->end(),
-                         [tag](const Message& m) { return m.tag == tag; });
-  assert(it != q->end());
-  return take_at(*q, it, indexed);
+  Bucket* b = buckets_.find(src);
+  assert(b != nullptr);
+  int prev = -1;
+  const int at = find_match(*b, tag, &prev);
+  assert(at >= 0);
+  return take(*b, at, prev, indexed);
 }
 
-Message Mailbox::take_at(std::vector<Message>& q,
-                         std::vector<Message>::iterator it, bool indexed) {
-  Message out = std::move(*it);
-  q.erase(it);
+Message Mailbox::take(Bucket& b, int at, int prev, bool indexed) {
+  Node& node = slab_[static_cast<std::size_t>(at)];
+  if (prev < 0) {
+    b.head = node.next;
+  } else {
+    slab_[static_cast<std::size_t>(prev)].next = node.next;
+  }
+  if (b.tail == at) b.tail = prev;
+  Message out = std::move(node.msg);
+  node.next = free_;
+  free_ = at;
   if (indexed) {
     // Fast path: the matched message is the globally oldest (the common
     // case — most receives find an empty or shallow queue), so its index
@@ -50,7 +80,7 @@ Message Mailbox::take_at(std::vector<Message>& q,
     if (!order_.empty() && order_.front().seq == out.seq) {
       order_.pop_front();
     } else {
-      stale_.insert(out.seq);
+      stale_.insert(out.seq, 0);
       compact_if_sparse();
     }
   }
@@ -60,16 +90,12 @@ Message Mailbox::take_at(std::vector<Message>& q,
 
 void Mailbox::compact_if_sparse() {
   // Stale entries buried behind long-lived live entries can't be trimmed
-  // from the front; once they outnumber the live entries, rebuild the index
-  // without them.  The rebuild costs O(live + stale) and needs at least
-  // `live` further matches to trigger again, so it is amortized O(1) and
-  // bounds the index at twice the pending-message count (plus slack).
+  // from the front; once they outnumber the live entries, filter them out
+  // of the index in place.  The pass costs O(live + stale) and needs at
+  // least `live` further matches to trigger again, so it is amortized O(1)
+  // and bounds the index at twice the pending-message count (plus slack).
   if (stale_.size() <= 64 || stale_.size() <= size_) return;
-  std::deque<Entry> live;
-  for (const Entry& e : order_) {
-    if (stale_.count(e.seq) == 0) live.push_back(e);
-  }
-  order_.swap(live);
+  order_.erase_if([this](const Entry& e) { return stale_.contains(e.seq); });
   stale_.clear();
 }
 
@@ -78,25 +104,23 @@ void Mailbox::push(Message msg, int reorder_skip) {
     std::lock_guard<std::mutex> lock(mutex_);
     msg.seq = next_seq_++;
     order_.push_back(Entry{msg.src, msg.tag, msg.seq});
-    bucket(msg.src).push_back(std::move(msg));
+    append(std::move(msg));
     ++size_;
     // The legal-reordering swap walks the lightweight index only; stale
     // entries (whose message is already gone) are passed for free, exactly
     // as if they were not there.  Position relative to stale entries is
     // unobservable (every reader skips them), so once the skip budget is
     // spent the walk stops immediately — even mid-run of stale entries.
-    auto pos = std::prev(order_.end());
-    while (reorder_skip > 0 && pos != order_.begin()) {
-      auto prev = std::prev(pos);
-      if (stale_.count(prev->seq) != 0) {
-        std::iter_swap(prev, pos);
-        pos = prev;
-        continue;
+    std::size_t pos = order_.size() - 1;
+    while (reorder_skip > 0 && pos > 0) {
+      Entry& prev = order_[pos - 1];
+      Entry& mover = order_[pos];
+      if (!stale_.contains(prev.seq)) {
+        if (prev.src == mover.src && prev.tag == mover.tag) break;
+        --reorder_skip;
       }
-      if (prev->src == pos->src && prev->tag == pos->tag) break;
-      std::iter_swap(prev, pos);
-      pos = prev;
-      --reorder_skip;
+      std::swap(prev, mover);
+      --pos;
     }
   }
   cv_.notify_all();
@@ -106,14 +130,14 @@ void Mailbox::push(Message msg, int reorder_skip) {
 Message Mailbox::pop_matching(int src, int tag) {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    // find, not operator[]: a receive polling a source that has never sent
+    // find, never insert: a receive polling a source that has never sent
     // (common while blocked on a slow or dead peer) must not materialize an
     // empty bucket — buckets exist only for sources that actually pushed.
-    if (std::vector<Message>* q = find_bucket(src)) {
-      auto it = std::find_if(q->begin(), q->end(),
-                             [tag](const Message& m) { return m.tag == tag; });
-      if (it != q->end()) {
-        Message out = take_at(*q, it, /*indexed=*/true);
+    if (Bucket* b = buckets_.find(src)) {
+      int prev = -1;
+      const int at = find_match(*b, tag, &prev);
+      if (at >= 0) {
+        Message out = take(*b, at, prev, /*indexed=*/true);
         trim_order_front();
         return out;
       }
@@ -126,12 +150,14 @@ RecvStatus Mailbox::pop_matching_or_failed(int src, int tag, double max_stamp,
                                            Message* out) {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    if (std::vector<Message>* q = find_bucket(src)) {
-      auto it = std::find_if(q->begin(), q->end(),
-                             [tag](const Message& m) { return m.tag == tag; });
-      if (it != q->end()) {
-        if (it->depart_time > max_stamp) return RecvStatus::kTimedOut;
-        *out = take_at(*q, it, /*indexed=*/true);
+    if (Bucket* b = buckets_.find(src)) {
+      int prev = -1;
+      const int at = find_match(*b, tag, &prev);
+      if (at >= 0) {
+        if (slab_[static_cast<std::size_t>(at)].msg.depart_time > max_stamp) {
+          return RecvStatus::kTimedOut;
+        }
+        *out = take(*b, at, prev, /*indexed=*/true);
         trim_order_front();
         return RecvStatus::kDelivered;
       }
@@ -160,6 +186,14 @@ Message Mailbox::pop_any() {
   Message out = take_oldest(e.src, e.tag, /*indexed=*/false);
   assert(out.seq == e.seq);
   return out;
+}
+
+void Mailbox::clear_buckets() {
+  buckets_.clear();
+  slab_.clear();
+  free_ = -1;
+  stale_.clear();
+  size_ = 0;
 }
 
 void Mailbox::mark_dead(int src) {
@@ -199,16 +233,10 @@ std::vector<Message> Mailbox::drain() {
   while (!order_.empty()) {
     const Entry e = order_.front();
     order_.pop_front();
-    auto it = stale_.find(e.seq);
-    if (it != stale_.end()) {
-      stale_.erase(it);
-      continue;
-    }
+    if (stale_.erase(e.seq)) continue;
     out.push_back(take_oldest(e.src, e.tag, /*indexed=*/false));
   }
-  buckets_.clear();
-  stale_.clear();
-  size_ = 0;
+  clear_buckets();
   return out;
 }
 
@@ -217,19 +245,13 @@ void Mailbox::drain_undelivered(int dst, std::vector<UndeliveredMessage>& out) {
   while (!order_.empty()) {
     const Entry e = order_.front();
     order_.pop_front();
-    auto it = stale_.find(e.seq);
-    if (it != stale_.end()) {
-      stale_.erase(it);
-      continue;
-    }
+    if (stale_.erase(e.seq)) continue;
     Message msg = take_oldest(e.src, e.tag, /*indexed=*/false);
     out.push_back(UndeliveredMessage{msg.src, dst, msg.tag,
-                                     msg.payload.byte_size(),
-                                     std::move(msg.phase), msg.transport_dup});
+                                     msg.payload.byte_size(), msg.phase.name(),
+                                     msg.transport_dup});
   }
-  buckets_.clear();
-  stale_.clear();
-  size_ = 0;
+  clear_buckets();
 }
 
 }  // namespace camb

@@ -5,21 +5,29 @@
 // This mirrors the eager-protocol semantics message-passing programs rely on
 // for small and medium messages, and keeps collective implementations simple.
 //
-// Storage layout (the hot-path redesign): messages live in *per-source
-// envelope buckets*, so pop_matching(src, tag) scans only the messages
-// `src` currently has in flight — O(match) — instead of the whole queue.
-// Buckets are keyed sparsely (a hash map over the sources this rank has
-// actually met, each bucket a small FIFO vector): a rank talks to O(grid
-// dimension) peers, so dense per-source storage would cost O(P) per mailbox
-// — O(P^2) per machine — and P = 65,536 mailboxes must stay cheap.
-// A separate *any-queue index* (`order_`) records global arrival order
-// (including the fault layer's legal reorderings) as lightweight
+// Storage layout: messages live in *per-source envelope buckets*, so
+// pop_matching(src, tag) scans only the messages `src` currently has in
+// flight — O(match) — instead of the whole queue.  Buckets are sized to the
+// rank's actual partners: an open-addressed src -> bucket index
+// (machine/flat.hpp: a multiply-shift hash, linear probing, no nodes, no
+// division) holds one FIFO per source that has pushed here.  A rank talks
+// to O(grid dimension) peers, so dense per-source storage would cost O(P)
+// per mailbox — O(P^2) per machine — while the index stays O(1) per lookup
+// even when a rank hears from thousands of sources (alltoall, shrink
+// flooding).  The FIFOs own no storage: every queued message sits in one
+// per-mailbox slab, and a bucket is a head/tail pair of slab indices
+// chained through the slots.
+// A separate *any-queue index* (`order_`, a ring) records global arrival
+// order (including the fault layer's legal reorderings) as lightweight
 // (src, tag, seq) entries, giving pop_any and drain exactly the order the
 // old single-deque implementation exposed without ever moving a payload to
 // reorder.  Entries whose message was matched out of a bucket are skipped
-// lazily via a stale-sequence set; because matching is FIFO per envelope,
-// the earliest live entry of an envelope always corresponds to the earliest
-// queued message of that envelope.
+// lazily via a stale-sequence set (another flat index); because matching is
+// FIFO per envelope, the earliest live entry of an envelope always
+// corresponds to the earliest queued message of that envelope.  Every
+// container keeps its capacity, so a mailbox allocates only while it grows
+// to its largest backlog and partner count; after that the payload's own
+// storage is the only heap traffic a message causes.
 //
 // Failure awareness (crash-fault support): a source rank may be marked *dead*
 // (it crashed — no further message from it will ever arrive) or *deviated*
@@ -35,22 +43,22 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
+#include <limits>
 #include <mutex>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "machine/buffer_pool.hpp"
 #include "machine/fiber.hpp"
+#include "machine/flat.hpp"
+#include "machine/phase.hpp"
 #include "util/math.hpp"
 
 namespace camb {
 
 /// A message in flight: the payload plus its envelope, the logical time at
 /// which it left the sender (see machine.hpp's clock model), and the sender's
-/// phase label at send time (for leak-report forensics).  Payloads are
+/// phase at send time (for leak-report forensics).  Payloads are
 /// pooled move-only Buffers: a message is moved into the mailbox and moved
 /// out to the receiver; its words are never copied in between.
 struct Message {
@@ -58,7 +66,7 @@ struct Message {
   int tag = 0;
   double depart_time = 0.0;
   Buffer payload;
-  std::string phase;
+  PhaseId phase{};
   std::uint64_t seq = 0;  ///< arrival sequence, assigned by the mailbox
   // Reliable-transport envelope fields (machine/reliable.hpp).  The checksum
   // is metadata, not payload — it adds no words to any count.  A copy marked
@@ -156,18 +164,41 @@ class Mailbox {
     std::uint64_t seq = 0;
   };
 
-  /// The bucket for `src`, created on demand — called by push() only, so
-  /// buckets exist exactly for the sources that have actually sent here
-  /// (mailboxes are constructed without knowing the machine size, and most
-  /// sources never write here).  A bucket is a FIFO: push_back on arrival,
-  /// erase(begin()+i) on match — buckets are shallow (a handful of
-  /// in-flight messages), so the shift is cheaper than a deque's chunked
-  /// storage.
-  std::vector<Message>& bucket(int src);
+  /// One slot of the message slab; `next` chains a bucket's FIFO (or the
+  /// free list) through slot indices.
+  struct Node {
+    Message msg;
+    int next = -1;
+  };
 
-  /// The bucket for `src`, or nullptr if that source has never pushed here.
-  /// All pop paths use this so a blocked receive does not grow the map.
-  std::vector<Message>* find_bucket(int src);
+  /// One source's FIFO, as head/tail slab indices: append at the tail on
+  /// arrival, unlink on match.  Buckets are shallow (a handful of in-flight
+  /// messages), so a match walks a few links, and no bucket owns storage.
+  struct Bucket {
+    int head = -1;
+    int tail = -1;
+  };
+
+  /// Append `msg` to the bucket of its source, creating the bucket on the
+  /// first push from that source — push() is the only caller, so buckets
+  /// exist exactly for the sources that have actually sent here (mailboxes
+  /// are constructed without knowing the machine size, and most sources
+  /// never write here).
+  void append(Message msg);
+
+  /// The slab index of the oldest message in `b` with tag `tag`, or -1;
+  /// `*prev` receives its predecessor in the bucket (-1 at the head).
+  int find_match(const Bucket& b, int tag, int* prev) const;
+
+  /// Unlink slab slot `at` (predecessor `prev`) from `b`, free the slot,
+  /// and retire its index entry: directly if it is the index front, else
+  /// via the stale set.  `indexed` says whether the entry is still in
+  /// order_ (true for matching pops; false for pop_any, which removed the
+  /// entry itself).
+  Message take(Bucket& b, int at, int prev, bool indexed);
+
+  /// Forget every bucket and stale mark (after a drain emptied them).
+  void clear_buckets();
 
   /// Block until this mailbox is notified again: parks when called on a
   /// fiber, waits on the condition variable otherwise.  Callers loop.
@@ -176,29 +207,24 @@ class Mailbox {
   /// Drop index-front entries whose messages were already matched out.
   void trim_order_front();
 
-  /// Rebuild the index without stale entries once they outnumber the live
+  /// Filter stale entries out of the index once they outnumber the live
   /// ones (stale entries buried behind long-lived live entries are
   /// unreachable by trim_order_front).  Amortized O(1) per matching pop;
   /// bounds the index at ~2x the pending-message count.
   void compact_if_sparse();
 
   /// Remove and return the oldest queued message with envelope (src, tag).
-  /// Precondition: one exists.  `indexed` says whether its index entry is
-  /// still in order_ (true for matching pops, which then mark the entry's
-  /// seq stale; false for pop_any, which removed the entry itself).
+  /// Precondition: one exists.
   Message take_oldest(int src, int tag, bool indexed);
-
-  /// Extract the message at `it` from its bucket and retire its index entry
-  /// (directly if it is the index front, else via the stale set).
-  Message take_at(std::vector<Message>& q, std::vector<Message>::iterator it,
-                  bool indexed);
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   FiberWaitList waiters_;
-  std::unordered_map<int, std::vector<Message>> buckets_;  ///< by source
-  std::deque<Entry> order_;                       ///< any-queue index
-  std::unordered_set<std::uint64_t> stale_;       ///< matched-out entry seqs
+  std::vector<Node> slab_;  ///< every queued message, plus free slots
+  int free_ = -1;            ///< head of the free-slot chain
+  FlatIndex<int, std::numeric_limits<int>::min(), Bucket> buckets_;  ///< by src
+  RingQueue<Entry> order_;                        ///< any-queue index
+  FlatIndex<std::uint64_t, 0> stale_;  ///< matched-out entry seqs (seq >= 1)
   std::uint64_t next_seq_ = 1;
   std::size_t size_ = 0;
   std::vector<int> dead_;

@@ -4,6 +4,12 @@
 #include "util/error.hpp"
 
 namespace camb {
+namespace {
+
+const PhaseId kTransportPhase(kPhaseTransport);
+const PhaseId kHeartbeatPhase("heartbeat");
+
+}  // namespace
 
 Network::Network(int nprocs) : nprocs_(nprocs), stats_(nprocs) {
   CAMB_CHECK_MSG(nprocs >= 1, "network needs at least one processor");
@@ -86,8 +92,8 @@ double Network::send_timed(int src, int dst, int tag, Buffer payload,
                   FaultPlan::retry_alpha_units(faults.failed_attempts +
                                                failed_copies) +
               params.beta * (words * failed_copies));
-    const std::string active = stats_.phase(src);
-    stats_.set_phase(src, kPhaseTransport);
+    const PhaseId active = stats_.phase(src);
+    stats_.set_phase(src, kTransportPhase);
     for (int k = 0; k < failed_copies; ++k) stats_.record_send(src, bytes);
     stats_.set_phase(src, active);
     auto& tc = stats_.transport_mut(src);
@@ -122,8 +128,8 @@ double Network::send_timed(int src, int dst, int tag, Buffer payload,
     // Sender-side transport tax: one counted send per extra on-wire copy
     // (dropped, corrupted, or duplicated), in the dedicated phase so the
     // algorithm phases stay word-exact to the fault-free run.
-    const std::string active = stats_.phase(src);
-    stats_.set_phase(src, kPhaseTransport);
+    const PhaseId active = stats_.phase(src);
+    stats_.set_phase(src, kTransportPhase);
     for (int k = 0; k < extra_copies; ++k) stats_.record_send(src, bytes);
     stats_.set_phase(src, active);
     auto& tc = stats_.transport_mut(src);
@@ -137,7 +143,7 @@ double Network::send_timed(int src, int dst, int tag, Buffer payload,
   }
 
   const double stamp = clock + faults.delay;
-  const std::string& phase = stats_.phase(src);
+  const PhaseId phase = stats_.phase(src);
   if (sdc_active) {
     // Corrupt copies are deposited *before* the clean one: per-envelope
     // FIFO order guarantees the receiver sees (and nacks) them first, which
@@ -200,8 +206,8 @@ bool Network::transport_accept(int dst, Message& msg) {
     auto& tc = stats_.transport_mut(dst);
     ++tc.corrupt_discards;
     ++tc.nacks;
-    const std::string active = stats_.phase(dst);
-    stats_.set_phase(dst, kPhaseTransport);
+    const PhaseId active = stats_.phase(dst);
+    stats_.set_phase(dst, kTransportPhase);
     stats_.record_receive(dst, msg.payload.byte_size());
     stats_.record_send(dst, 0);  // the nack
     stats_.set_phase(dst, active);
@@ -248,8 +254,8 @@ RecvStatus Network::recv_or_failed(int dst, int src, int tag, double deadline,
   // zero-word message in the dedicated heartbeat phase.  Words stay zero and
   // the rank's active algorithm phase is untouched, so detection can never
   // perturb the paper's word counts.
-  const std::string active = stats_.phase(dst);
-  stats_.set_phase(dst, "heartbeat");
+  const PhaseId active = stats_.phase(dst);
+  stats_.set_phase(dst, kHeartbeatPhase);
   stats_.record_send(dst, 0);
   stats_.set_phase(dst, active);
   return status;

@@ -10,6 +10,14 @@
 // Self-sends (which the model does not count) likewise deliver by move: the
 // payload's storage travels from the send call to the matching receive
 // without touching the allocator or the word counters.
+//
+// The per-message path is flat: the sender's phase is an interned PhaseId
+// (machine/phase.hpp), so CommStats counts with an indexed add and the
+// message carries an int, not a string; the mailbox reaches its source
+// bucket through an open-addressed index; and waking a parked receiver
+// reuses its wait list's capacity.  Apart from the payload's own storage,
+// a send and its receive do no string work, hashing of names, global
+// locking or heap allocation.
 #pragma once
 
 #include <memory>

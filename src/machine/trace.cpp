@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <optional>
 #include <set>
 
 #include "util/error.hpp"
@@ -12,17 +13,10 @@ Trace::Trace(int nprocs) : nprocs_(nprocs) {
   CAMB_CHECK_MSG(nprocs >= 1, "trace needs at least one processor");
 }
 
-void Trace::record(int src, int dst, int tag, i64 bytes,
-                   const std::string& phase) {
-  MessageEvent event;
-  event.seq = next_seq_.fetch_add(1);
-  event.src = src;
-  event.dst = dst;
-  event.tag = tag;
-  event.bytes = bytes;
-  event.phase = phase;
+void Trace::record(int src, int dst, int tag, i64 bytes, PhaseId phase) {
+  const Record event{next_seq_.fetch_add(1), src, dst, tag, bytes, phase};
   std::lock_guard<std::mutex> lock(mutex_);
-  events_.push_back(std::move(event));
+  events_.push_back(event);
 }
 
 void Trace::record_fault(int src, int dst, int tag, int failed_attempts,
@@ -85,14 +79,31 @@ std::size_t Trace::fault_event_count() const {
   return fault_events_.size();
 }
 
+std::vector<MessageEvent> Trace::materialize(const PhaseId* only) const {
+  std::vector<const Record*> picked;
+  picked.reserve(only == nullptr ? events_.size() : 0);
+  for (const Record& r : events_) {
+    if (only == nullptr || r.phase == *only) picked.push_back(&r);
+  }
+  std::sort(picked.begin(), picked.end(),
+            [](const Record* a, const Record* b) { return a->seq < b->seq; });
+  // One registry lookup per distinct phase, not per event.
+  std::vector<const std::string*> names;
+  std::vector<MessageEvent> out;
+  out.reserve(picked.size());
+  for (const Record* r : picked) {
+    const auto id = static_cast<std::size_t>(r->phase.value());
+    if (id >= names.size()) names.resize(id + 1, nullptr);
+    if (names[id] == nullptr) names[id] = &r->phase.name();
+    out.push_back(MessageEvent{r->seq, r->src, r->dst, r->tag, r->bytes,
+                               *names[id]});
+  }
+  return out;
+}
+
 std::vector<MessageEvent> Trace::events() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<MessageEvent> snapshot = events_;
-  std::sort(snapshot.begin(), snapshot.end(),
-            [](const MessageEvent& a, const MessageEvent& b) {
-              return a.seq < b.seq;
-            });
-  return snapshot;
+  return materialize(nullptr);
 }
 
 std::size_t Trace::event_count() const {
@@ -134,16 +145,10 @@ double Trace::words_between(int src, int dst) const {
 
 std::vector<MessageEvent> Trace::events_in_phase(
     const std::string& phase) const {
-  std::vector<MessageEvent> out;
+  const std::optional<PhaseId> id = PhaseId::find(phase);
+  if (!id) return {};
   std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& event : events_) {
-    if (event.phase == phase) out.push_back(event);
-  }
-  std::sort(out.begin(), out.end(),
-            [](const MessageEvent& a, const MessageEvent& b) {
-              return a.seq < b.seq;
-            });
-  return out;
+  return materialize(&*id);
 }
 
 std::vector<int> Trace::partners_of(int rank) const {

@@ -5,7 +5,9 @@
 // questions aggregate counters cannot: which *pairs* of ranks exchange how
 // much (the traffic matrix — e.g. showing Algorithm 1's fiber structure),
 // what a collective's round schedule actually looked like, and whether two
-// phases overlapped traffic.  Off by default: tracing allocates per message.
+// phases overlapped traffic.  Records keep the sender's interned PhaseId;
+// phase names are looked up only when events leave the trace (events(),
+// events_in_phase, write_csv).  Off by default: the log grows per message.
 #pragma once
 
 #include <atomic>
@@ -13,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "machine/phase.hpp"
 #include "util/math.hpp"
 
 namespace camb {
@@ -66,7 +69,7 @@ class Trace {
   int nprocs() const { return nprocs_; }
 
   /// Record one send (thread-safe; called by the network).
-  void record(int src, int dst, int tag, i64 bytes, const std::string& phase);
+  void record(int src, int dst, int tag, i64 bytes, PhaseId phase);
 
   /// Record one fault injection (thread-safe; called by the network when a
   /// fault plan perturbed the matching send).
@@ -114,7 +117,20 @@ class Trace {
   int nprocs_;
   mutable std::mutex mutex_;
   std::atomic<std::uint64_t> next_seq_{0};
-  std::vector<MessageEvent> events_;
+  /// A MessageEvent with the phase still interned.
+  struct Record {
+    std::uint64_t seq = 0;
+    int src = -1;
+    int dst = -1;
+    int tag = 0;
+    i64 bytes = 0;
+    PhaseId phase;
+  };
+
+  /// Records in seq order, names looked up (caller holds mutex_).
+  std::vector<MessageEvent> materialize(const PhaseId* only) const;
+
+  std::vector<Record> events_;
   std::vector<FaultEvent> fault_events_;
   std::vector<TransportEvent> transport_events_;
 };

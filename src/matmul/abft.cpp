@@ -38,44 +38,13 @@ template <typename T>
 Matrix<T> regen_block(const BlockDist1D& rows, i64 ri, const BlockDist1D& cols,
                       i64 ci) {
   const BlockChunk chunk = full_block(rows, ri, cols, ci);
-  const std::vector<T> flat = abft_fill<T>(chunk);
-  Matrix<T> out(chunk.rows, chunk.cols);
-  std::copy(flat.begin(), flat.end(), out.data());
-  return out;
+  return Matrix<T>(chunk.rows, chunk.cols, abft_fill<T>(chunk));
 }
 
-template <typename T>
-Matrix<T> to_matrix(const std::vector<T>& flat, i64 rows, i64 cols) {
-  CAMB_CHECK(static_cast<i64>(flat.size()) == rows * cols);
-  Matrix<T> out(rows, cols);
-  std::copy(flat.begin(), flat.end(), out.data());
-  return out;
-}
-
-/// Pad an r×c row-major block to rmax rows (zeros below).
-template <typename T>
-std::vector<T> pad_rows(const std::vector<T>& flat, i64 r, i64 c, i64 rmax) {
-  CAMB_CHECK(static_cast<i64>(flat.size()) == r * c && rmax >= r);
-  std::vector<T> out = flat;
-  out.resize(static_cast<std::size_t>(rmax * c), ScalarTraits<T>::zero());
-  return out;
-}
-
-/// Pad an r×c row-major block to cmax columns (zeros to the right).
-template <typename T>
-std::vector<T> pad_cols(const std::vector<T>& flat, i64 r, i64 c, i64 cmax) {
-  CAMB_CHECK(static_cast<i64>(flat.size()) == r * c && cmax >= c);
-  std::vector<T> out(static_cast<std::size_t>(r * cmax),
-                     ScalarTraits<T>::zero());
-  for (i64 ri = 0; ri < r; ++ri) {
-    std::copy(flat.begin() + ri * c, flat.begin() + (ri + 1) * c,
-              out.begin() + ri * cmax);
-  }
-  return out;
-}
-
+/// Zero-pad a matrix to rmax x cmax, row-major (padding below and right).
 template <typename T>
 std::vector<T> pad_matrix(const Matrix<T>& m, i64 rmax, i64 cmax) {
+  CAMB_CHECK(rmax >= m.rows() && cmax >= m.cols());
   std::vector<T> out(static_cast<std::size_t>(rmax * cmax),
                      ScalarTraits<T>::zero());
   for (i64 ri = 0; ri < m.rows(); ++ri) {
@@ -143,7 +112,7 @@ void summa_abft_recover(RankCtx& ctx, const SummaAbftConfig& cfg,
   // Agreement: every survivor learns the same failed set.  The recovery
   // world comm leases from the recovery cursor, which abandonment does not
   // touch, so clean and abandoned survivors agree on its tags.
-  ctx.set_phase(kPhaseAbftShrink);
+  ctx.set_phase(kPhaseAbftShrinkId);
   const coll::Comm rec_world =
       coll::Comm::recovery(ctx, world_group(ctx.nprocs()));
   const coll::ShrinkResult agreed =
@@ -162,7 +131,7 @@ void summa_abft_recover(RankCtx& ctx, const SummaAbftConfig& cfg,
   // covers the dead tile.  Which checksum depends on where the dead rank
   // sat: S_dj unless the dead rank was its host (row 0), then R_0 unless
   // the dead rank was (0, 0) itself, then the corner total T.
-  ctx.set_phase(kPhaseAbftRecover);
+  ctx.set_phase(kPhaseAbftRecoverId);
   const int dead = agreed.failed.front();
   const i64 di = dead / g, dj = dead % g;
   enum class Pad { kRows, kCols, kBoth } pad_mode;
@@ -289,31 +258,31 @@ SummaAbftOutputT<T> summa_abft_body(Session& session,
     for (i64 t = t0; t < g; ++t) {
       // Base SUMMA stage: A block-column t along rows, B block-row t along
       // columns, local accumulate.
-      ctx.set_phase(kPhaseSummaBcastA);
+      ctx.set_phase(kPhaseSummaBcastAId);
       std::vector<T> a_panel = (t == j) ? a_own : std::vector<T>{};
       const i64 a_rows = d1.size(i), a_cols = d2.size(t);
       coll::bcast(my_row, static_cast<int>(t), a_panel, a_rows * a_cols,
                   cfg.base.bcast, cfg.base.bcast_segments);
 
-      ctx.set_phase(kPhaseSummaBcastB);
+      ctx.set_phase(kPhaseSummaBcastBId);
       std::vector<T> b_panel = (t == i) ? b_own : std::vector<T>{};
       const i64 b_rows = d2.size(t), b_cols = d3.size(j);
       coll::bcast(my_col, static_cast<int>(t), b_panel, b_rows * b_cols,
                   cfg.base.bcast, cfg.base.bcast_segments);
 
-      ctx.set_phase(kPhaseSummaGemm);
-      const Matrix<T> a_mat = to_matrix(a_panel, a_rows, a_cols);
-      const Matrix<T> b_mat = to_matrix(b_panel, b_rows, b_cols);
+      ctx.set_phase(kPhaseSummaGemmId);
+      const Matrix<T> a_mat(a_rows, a_cols, std::move(a_panel));
+      const Matrix<T> b_mat(b_rows, b_cols, std::move(b_panel));
       gemm_accumulate(a_mat, b_mat, out.own.block);
 
       // Encode: column fibers reduce row-padded A panels to row 0, row
       // fibers reduce column-padded B panels to column 0, and the extreme
       // roots forward the sums to the corner.
-      ctx.set_phase(kPhaseAbftEncode);
-      std::vector<T> asum = coll::reduce(
-          my_col, 0, pad_rows(a_panel, a_rows, a_cols, d1max));
-      std::vector<T> bsum = coll::reduce(
-          my_row, 0, pad_cols(b_panel, b_rows, b_cols, d3max));
+      ctx.set_phase(kPhaseAbftEncodeId);
+      std::vector<T> asum =
+          coll::reduce(my_col, 0, pad_matrix(a_mat, d1max, a_cols));
+      std::vector<T> bsum =
+          coll::reduce(my_row, 0, pad_matrix(b_mat, b_rows, d3max));
       if (i == 0 && j == g - 1) {
         my_col.send(static_cast<int>(g - 1),
                     fwd_a_tags + static_cast<int>(t), Buffer::pack<T>(asum));
@@ -324,20 +293,23 @@ SummaAbftOutputT<T> summa_abft_body(Session& session,
       }
       if (hold_s) {
         // S_j += (sum_i pad(A_it)) * B_tj  ==  sum_i pad_rows(A_it B_tj).
-        gemm_accumulate(to_matrix(asum, d1max, a_cols), b_mat, out.s_sum);
+        gemm_accumulate(Matrix<T>(d1max, a_cols, std::move(asum)), b_mat,
+                        out.s_sum);
       }
       if (hold_r) {
-        gemm_accumulate(a_mat, to_matrix(bsum, b_rows, d3max), out.r_sum);
+        gemm_accumulate(a_mat, Matrix<T>(b_rows, d3max, std::move(bsum)),
+                        out.r_sum);
       }
       if (is_corner) {
-        const std::vector<T> asum_c =
+        std::vector<T> asum_c =
             std::move(my_col.recv(0, fwd_a_tags + static_cast<int>(t)))
                 .template take_as<T>();
-        const std::vector<T> bsum_c =
+        std::vector<T> bsum_c =
             std::move(my_row.recv(0, fwd_b_tags + static_cast<int>(t)))
                 .template take_as<T>();
-        gemm_accumulate(to_matrix(asum_c, d1max, d2.size(t)),
-                        to_matrix(bsum_c, d2.size(t), d3max), out.t_sum);
+        gemm_accumulate(Matrix<T>(d1max, d2.size(t), std::move(asum_c)),
+                        Matrix<T>(d2.size(t), d3max, std::move(bsum_c)),
+                        out.t_sum);
       }
 
       session.boundary(t + 1, [&] {
@@ -396,7 +368,7 @@ void grid3d_abft_recover(RankCtx& ctx, const Grid3dAbftConfig& cfg,
                          const Grid3dConfig& base, i64 lmax,
                          Grid3dAbftOutputT<T>& out, bool abandoned) {
   const GridMap map(base.grid);
-  ctx.set_phase(kPhaseAbftShrink);
+  ctx.set_phase(kPhaseAbftShrinkId);
   const coll::Comm rec_world =
       coll::Comm::recovery(ctx, world_group(ctx.nprocs()));
   const coll::ShrinkResult agreed =
@@ -408,7 +380,7 @@ void grid3d_abft_recover(RankCtx& ctx, const Grid3dAbftConfig& cfg,
   // Reconstruction: for each dead rank, the survivors of its C fiber
   // subtract their chunks from the parity.  Dead ranks on distinct fibers
   // are independent (disjoint contributor groups, distinct tags).
-  ctx.set_phase(kPhaseAbftRecover);
+  ctx.set_phase(kPhaseAbftRecoverId);
   if (base.grid.p2 < 2) {
     throw Error(
         "grid3d ABFT cannot recover any rank on a p2 = 1 grid: the parity "
@@ -489,7 +461,7 @@ Grid3dAbftOutputT<T> grid3d_abft_body(Session& session,
       // Encode: every C fiber All-Reduces the parity of its members' padded
       // chunks, so each member holds X = sum_q2 pad(chunk) (f = 1
       // redundancy).
-      ctx.set_phase(kPhaseAbftEncode);
+      ctx.set_phase(kPhaseAbftEncodeId);
       std::vector<T> padded = out.own.c_data;
       padded.resize(static_cast<std::size_t>(lmax), ScalarTraits<T>::zero());
       out.parity = coll::allreduce(c_fiber, std::move(padded));
@@ -640,8 +612,8 @@ AbftCorrection summa_abft_correct(const SummaAbftConfig& cfg,
   const T zero = ScalarTraits<T>::zero();
 
   // A corrupted cell at local (r, c) of tile (i*, j*) shows up at exactly
-  // (r, c) in both its column syndrome D_{j*} (pad_rows keeps local rows)
-  // and its row syndrome E_{i*} (pad_cols keeps local columns), with the
+  // (r, c) in both its column syndrome D_{j*} (row padding keeps local rows)
+  // and its row syndrome E_{i*} (column padding keeps local columns), with the
   // same magnitude — all sums are exact (integer-valued pattern, or native
   // integer arithmetic for exact scalars), so clean cells have syndrome
   // exactly zero.

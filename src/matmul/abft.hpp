@@ -28,6 +28,7 @@
 #include <functional>
 #include <type_traits>
 
+#include "machine/phase.hpp"
 #include "matmul/grid3d.hpp"
 #include "matmul/summa.hpp"
 #include "util/scalar.hpp"
@@ -212,5 +213,8 @@ AbftCorrection grid3d_abft_correct(
 inline constexpr const char* kPhaseAbftEncode = "abft_encode";
 inline constexpr const char* kPhaseAbftShrink = "abft_shrink";
 inline constexpr const char* kPhaseAbftRecover = "abft_recover";
+inline const PhaseId kPhaseAbftEncodeId{kPhaseAbftEncode};
+inline const PhaseId kPhaseAbftShrinkId{kPhaseAbftShrink};
+inline const PhaseId kPhaseAbftRecoverId{kPhaseAbftRecover};
 
 }  // namespace camb::mm

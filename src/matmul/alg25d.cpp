@@ -82,12 +82,12 @@ Block2DOutputT<T> alg25d_body(Session& session, const Alg25dConfig& cfg) {
     std::copy(snap.bufs[2].begin(), snap.bufs[2].end(), c_partial.data());
   } else {
     // 1. Replicate both inputs along the depth fiber.
-    ctx.set_phase(kPhase25dReplicate);
+    ctx.set_phase(kPhase25dReplicateId);
     coll::bcast(depth, 0, a_held, d1.size(i) * d2.size(j));
     coll::bcast(depth, 0, b_held, d2.size(i) * d3.size(j));
 
     // 2. Initial skew: rank (i, j, l) must hold A_{i, s0} and B_{s0, j}.
-    ctx.set_phase(kPhase25dSkew);
+    ctx.set_phase(kPhase25dSkewId);
     if (g > 1) {
       const i64 a_dst_col = (j - i - l * w % g + 2 * g) % g;
       my_row.send(static_cast<int>(a_dst_col), row_tags,
@@ -105,17 +105,17 @@ Block2DOutputT<T> alg25d_body(Session& session, const Alg25dConfig& cfg) {
   // 3. w Cannon steps within the layer.
   for (i64 t = t0; t < w; ++t) {
     const i64 s = (s0 + t) % g;
-    ctx.set_phase(kPhase25dGemm);
-    Matrix<T> a_mat(d1.size(i), d2.size(s));
-    CAMB_CHECK(static_cast<i64>(a_held.size()) == a_mat.size());
-    std::copy(a_held.begin(), a_held.end(), a_mat.data());
-    Matrix<T> b_mat(d2.size(s), d3.size(j));
-    CAMB_CHECK(static_cast<i64>(b_held.size()) == b_mat.size());
-    std::copy(b_held.begin(), b_held.end(), b_mat.data());
+    ctx.set_phase(kPhase25dGemmId);
+    // The held blocks lend their storage to the operands and take it back
+    // for the shift: no copy, no allocation.
+    Matrix<T> a_mat(d1.size(i), d2.size(s), std::move(a_held));
+    Matrix<T> b_mat(d2.size(s), d3.size(j), std::move(b_held));
     gemm_accumulate(a_mat, b_mat, c_partial);
+    a_held = std::move(a_mat).release();
+    b_held = std::move(b_mat).release();
 
     if (t + 1 < w && g > 1) {
-      ctx.set_phase(kPhase25dShift);
+      ctx.set_phase(kPhase25dShiftId);
       const int off = static_cast<int>(t + 1);
       my_row.send(static_cast<int>((j - 1 + g) % g), row_tags + off,
                   Buffer::adopt(std::move(a_held)));
@@ -138,7 +138,7 @@ Block2DOutputT<T> alg25d_body(Session& session, const Alg25dConfig& cfg) {
   }
 
   // 4. Sum the layers' partials onto layer 0.
-  ctx.set_phase(kPhase25dReduce);
+  ctx.set_phase(kPhase25dReduceId);
   std::vector<T> c_flat(c_partial.data(), c_partial.data() + c_partial.size());
   const std::vector<T> c_sum = coll::reduce(depth, 0, std::move(c_flat));
 

@@ -17,6 +17,7 @@
 // §2.4 point that 3D-style algorithms subsume 2.5D.
 #pragma once
 
+#include "machine/phase.hpp"
 #include "matmul/distribution.hpp"
 #include "matmul/summa.hpp"
 
@@ -67,5 +68,10 @@ inline constexpr const char* kPhase25dSkew = "alg25d_skew";
 inline constexpr const char* kPhase25dShift = "alg25d_shift";
 inline constexpr const char* kPhase25dGemm = "alg25d_gemm";
 inline constexpr const char* kPhase25dReduce = "alg25d_reduce";
+inline const PhaseId kPhase25dReplicateId{kPhase25dReplicate};
+inline const PhaseId kPhase25dSkewId{kPhase25dSkew};
+inline const PhaseId kPhase25dShiftId{kPhase25dShift};
+inline const PhaseId kPhase25dGemmId{kPhase25dGemm};
+inline const PhaseId kPhase25dReduceId{kPhase25dReduce};
 
 }  // namespace camb::mm

@@ -48,7 +48,7 @@ Block2DOutputT<T> cannon_body(Session& session, const CannonConfig& cfg) {
   } else {
     // Initial skew: A_{ij} moves to (i, j - i); afterwards rank (i, j) holds
     // A_{i, (i + j) mod g}.  Likewise B_{ij} moves to (i - j, j).
-    ctx.set_phase(kPhaseCannonSkew);
+    ctx.set_phase(kPhaseCannonSkewId);
     if (g > 1) {
       my_row.send(static_cast<int>((j - i % g + g) % g), row_tags,
                   Buffer::adopt(std::move(a_held)));
@@ -64,17 +64,17 @@ Block2DOutputT<T> cannon_body(Session& session, const CannonConfig& cfg) {
   for (i64 t = t0; t < g; ++t) {
     // After the skew and t shifts, the held k-block index is (i + j + t).
     const i64 s = (i + j + t) % g;
-    ctx.set_phase(kPhaseCannonGemm);
-    Matrix<T> a_mat(d1.size(i), d2.size(s));
-    CAMB_CHECK(static_cast<i64>(a_held.size()) == a_mat.size());
-    std::copy(a_held.begin(), a_held.end(), a_mat.data());
-    Matrix<T> b_mat(d2.size(s), d3.size(j));
-    CAMB_CHECK(static_cast<i64>(b_held.size()) == b_mat.size());
-    std::copy(b_held.begin(), b_held.end(), b_mat.data());
+    ctx.set_phase(kPhaseCannonGemmId);
+    // The held blocks lend their storage to the operands and take it back
+    // for the shift: no copy, no allocation.
+    Matrix<T> a_mat(d1.size(i), d2.size(s), std::move(a_held));
+    Matrix<T> b_mat(d2.size(s), d3.size(j), std::move(b_held));
     gemm_accumulate(a_mat, b_mat, out.block);
+    a_held = std::move(a_mat).release();
+    b_held = std::move(b_mat).release();
 
     if (t + 1 < g && g > 1) {
-      ctx.set_phase(kPhaseCannonShift);
+      ctx.set_phase(kPhaseCannonShiftId);
       const int off = static_cast<int>(t + 1);
       // Shift A left by one (to column j-1), B up by one (to row i-1).
       my_row.send(static_cast<int>((j - 1 + g) % g), row_tags + off,

@@ -9,6 +9,7 @@
 // of the g steps multiplies the held blocks and shifts A left / B up by one.
 #pragma once
 
+#include "machine/phase.hpp"
 #include "matmul/distribution.hpp"
 #include "matmul/summa.hpp"
 
@@ -43,5 +44,8 @@ i64 cannon_ckpt_snapshot_words(const CannonConfig& cfg, int logical, i64 step);
 inline constexpr const char* kPhaseCannonSkew = "cannon_skew";
 inline constexpr const char* kPhaseCannonShift = "cannon_shift";
 inline constexpr const char* kPhaseCannonGemm = "cannon_gemm";
+inline const PhaseId kPhaseCannonSkewId{kPhaseCannonSkew};
+inline const PhaseId kPhaseCannonShiftId{kPhaseCannonShift};
+inline const PhaseId kPhaseCannonGemmId{kPhaseCannonGemm};
 
 }  // namespace camb::mm

@@ -158,7 +158,7 @@ CarmaRankOutputT<T> carma_body(Session& session, const CarmaConfig& cfg) {
     // comm leases (pure local bookkeeping): the data is already in `a`/`b`,
     // but the unwind still needs every K-split's combine frame.
     const bool live = level >= t0;
-    if (live) ctx.set_phase(kPhaseCarmaSplit);
+    if (live) ctx.set_phase(kPhaseCarmaSplitId);
     // This level's comm: the current group.  Every rank of the machine is in
     // exactly one group per level and the split letters are dimension-driven
     // (identical across groups), so the lease sequences stay in lockstep.
@@ -195,21 +195,15 @@ CarmaRankOutputT<T> carma_body(Session& session, const CarmaConfig& cfg) {
   }
 
   // Leaf: this rank owns the entire (r × k) x (k × c) subproblem.
-  ctx.set_phase(kPhaseCarmaGemm);
-  Matrix<T> a_leaf(r, k), b_leaf(k, c);
-  CAMB_CHECK(static_cast<i64>(a.size()) == r * k);
-  CAMB_CHECK(static_cast<i64>(b.size()) == k * c);
-  std::copy(a.begin(), a.end(), a_leaf.data());
-  std::copy(b.begin(), b.end(), b_leaf.data());
-  const Matrix<T> c_leaf = gemm(a_leaf, b_leaf);
-
+  ctx.set_phase(kPhaseCarmaGemmId);
   CarmaRankOutputT<T> out;
   out.holding = BlockChunk{c_row0, c_col0, r, c, 0, r * c};
-  out.data.assign(c_leaf.data(), c_leaf.data() + c_leaf.size());
+  out.data = gemm(Matrix<T>(r, k, std::move(a)), Matrix<T>(k, c, std::move(b)))
+                 .release();
 
   // Unwind: sum partial C's across the halves of every K-split, deepest
   // frame first, each pair splitting the (structurally identical) holding.
-  ctx.set_phase(kPhaseCarmaCombine);
+  ctx.set_phase(kPhaseCarmaCombineId);
   for (auto frame = combines.rbegin(); frame != combines.rend(); ++frame) {
     const i64 half = static_cast<i64>(out.data.size()) / 2;
     CAMB_CHECK(2 * half == static_cast<i64>(out.data.size()));

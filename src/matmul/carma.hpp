@@ -28,6 +28,7 @@
 
 #include "collectives/rollback.hpp"
 #include "machine/machine.hpp"
+#include "machine/phase.hpp"
 #include "matmul/distribution.hpp"
 #include "util/matrix.hpp"
 
@@ -78,5 +79,8 @@ i64 carma_ckpt_snapshot_words(const CarmaConfig& cfg, int logical, i64 step);
 inline constexpr const char* kPhaseCarmaSplit = "carma_split";
 inline constexpr const char* kPhaseCarmaGemm = "carma_gemm";
 inline constexpr const char* kPhaseCarmaCombine = "carma_combine";
+inline const PhaseId kPhaseCarmaSplitId{kPhaseCarmaSplit};
+inline const PhaseId kPhaseCarmaGemmId{kPhaseCarmaGemm};
+inline const PhaseId kPhaseCarmaCombineId{kPhaseCarmaCombine};
 
 }  // namespace camb::mm

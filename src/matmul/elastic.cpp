@@ -148,7 +148,7 @@ ElasticFacts<Alg25dConfig> elastic_facts(const Alg25dConfig&) {
           alg25d_panels, alg25d_predicted_recv_words};
 }
 
-bool elastic_probe_round(const coll::Comm& comm, const char* phase, int tag) {
+bool elastic_probe_round(const coll::Comm& comm, PhaseId phase, int tag) {
   RankCtx& ctx = comm.ctx();
   ctx.set_phase(phase);
   const int me = comm.my_index();

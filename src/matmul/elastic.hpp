@@ -47,6 +47,7 @@
 #include "collectives/regrid.hpp"
 #include "collectives/rollback.hpp"
 #include "collectives/shrink.hpp"
+#include "machine/phase.hpp"
 #include "matmul/alg25d.hpp"
 #include "matmul/grid3d.hpp"
 #include "matmul/summa.hpp"
@@ -67,6 +68,9 @@ struct ElasticConfig {
 inline constexpr const char* kPhaseElasticEnlist = "elastic_enlist";
 inline constexpr const char* kPhaseElasticShrink = "elastic_shrink";
 inline constexpr const char* kPhaseElasticConfirm = "elastic_confirm";
+inline const PhaseId kPhaseElasticEnlistId{kPhaseElasticEnlist};
+inline const PhaseId kPhaseElasticShrinkId{kPhaseElasticShrink};
+inline const PhaseId kPhaseElasticConfirmId{kPhaseElasticConfirm};
 
 /// Recovery-region tag bands, one per recovery round (the rollback protocol
 /// uses the same banding discipline): round r's leases start at
@@ -128,7 +132,7 @@ struct ElasticRankOutputT {
 /// every peer's probe (infinite deadline — failure, never a hang).  Returns
 /// false iff some peer is dead or has deviated from this tag band, in which
 /// case the caller enters (or retries) recovery.
-bool elastic_probe_round(const coll::Comm& comm, const char* phase, int tag);
+bool elastic_probe_round(const coll::Comm& comm, PhaseId phase, int tag);
 
 /// The values of one matrix's panels in canonical order, from the
 /// position-pure input pattern, and that pattern as regrid's regenerator:
@@ -204,11 +208,11 @@ auto elastic_rank(RankCtx& ctx, const Config& cfg, const ElasticConfig& ecfg,
     try {
       // Two enlistment rounds: a rank that dies in round A sends no round-B
       // OK, so entry into recovery is unanimous before any data moves.
-      if (elastic_probe_round(world, kPhaseElasticEnlist, tag_a) &&
-          elastic_probe_round(world, kPhaseElasticEnlist, tag_b)) {
+      if (elastic_probe_round(world, kPhaseElasticEnlistId, tag_a) &&
+          elastic_probe_round(world, kPhaseElasticEnlistId, tag_b)) {
         ckpt::PlainSessionT<T> session(ctx);
         out.output = body(session, cfg);
-        clean = elastic_probe_round(world, kPhaseElasticConfirm, tag_done);
+        clean = elastic_probe_round(world, kPhaseElasticConfirmId, tag_done);
       }
     } catch (const PeerFailedError&) {
       clean = false;
@@ -234,7 +238,7 @@ auto elastic_rank(RankCtx& ctx, const Config& cfg, const ElasticConfig& ecfg,
     // Realign the recovery cursor to this round's band: survivors stuck in
     // different per-round lease histories (idle vs active) agree again.
     ctx.tags().set_recovery_cursor(elastic_band_base(round));
-    ctx.set_phase(kPhaseElasticShrink);
+    ctx.set_phase(kPhaseElasticShrinkId);
     coll::Comm everyone = coll::Comm::recovery(ctx, everyone_ranks);
     coll::ShrinkResult agreed =
         coll::shrink(everyone, ecfg.max_failures, /*i_abandoned=*/true);
@@ -262,7 +266,7 @@ auto elastic_rank(RankCtx& ctx, const Config& cfg, const ElasticConfig& ecfg,
             L, std::move(moved.a), std::move(moved.b));
         out.output = body(session, ncfg);
       }
-      healed = elastic_probe_round(surv, kPhaseElasticConfirm, tag_confirm);
+      healed = elastic_probe_round(surv, kPhaseElasticConfirmId, tag_confirm);
     } catch (const PeerFailedError&) {
       healed = false;
     }

@@ -90,7 +90,7 @@ Grid3dRankOutputT<T> grid3d_body(Session& session, const Grid3dConfig& cfg) {
   // Line 3: All-Gather A across the fiber (q1, q2, :).
   const camb::WorkingSet a_ws(ctx, layout.a.block_size(), kElemBytes);
   if (t0 < 1) {
-    ctx.set_phase(kPhaseAllgatherA);
+    ctx.set_phase(kPhaseAllgatherAId);
     a_flat =
         coll::allgather(fiber_a, layout.a_counts, a_local, cfg.allgather);
     session.boundary(1, [&] { return snapshot_of<T>({a_flat}); });
@@ -99,7 +99,7 @@ Grid3dRankOutputT<T> grid3d_body(Session& session, const Grid3dConfig& cfg) {
   // Line 4: All-Gather B across the fiber (:, q2, q3).
   const camb::WorkingSet b_ws(ctx, layout.b.block_size(), kElemBytes);
   if (t0 < 2) {
-    ctx.set_phase(kPhaseAllgatherB);
+    ctx.set_phase(kPhaseAllgatherBId);
     b_flat =
         coll::allgather(fiber_b, layout.b_counts, b_local, cfg.allgather);
     session.boundary(2, [&] { return snapshot_of<T>({a_flat, b_flat}); });
@@ -108,16 +108,16 @@ Grid3dRankOutputT<T> grid3d_body(Session& session, const Grid3dConfig& cfg) {
   const camb::WorkingSet d_ws(ctx, layout.c.block_size(), kElemBytes);
   if (t0 < 3) {
     // Line 6: local multiply D = A_{q1 q2} * B_{q2 q3}.
-    ctx.set_phase(kPhaseLocalGemm);
-    Matrix<T> a_block(layout.a.rows, layout.a.cols);
-    std::copy(a_flat.begin(), a_flat.end(), a_block.data());
-    Matrix<T> b_block(layout.b.rows, layout.b.cols);
-    std::copy(b_flat.begin(), b_flat.end(), b_block.data());
-    const Matrix<T> d_block = gemm(a_block, b_block);
+    ctx.set_phase(kPhaseLocalGemmId);
+    // The gathered panels become the operands and D's storage the
+    // reduce-scatter input: moves, not copies.
+    Matrix<T> d_block =
+        gemm(Matrix<T>(layout.a.rows, layout.a.cols, std::move(a_flat)),
+             Matrix<T>(layout.b.rows, layout.b.cols, std::move(b_flat)));
 
     // Line 8: Reduce-Scatter D across the fiber (q1, :, q3).
-    ctx.set_phase(kPhaseReduceScatterC);
-    std::vector<T> d_flat(d_block.data(), d_block.data() + d_block.size());
+    ctx.set_phase(kPhaseReduceScatterCId);
+    std::vector<T> d_flat = std::move(d_block).release();
     out.c_data = coll::reduce_scatter(fiber_c, layout.c_counts, d_flat,
                                       cfg.reduce_scatter);
     CAMB_CHECK(static_cast<i64>(out.c_data.size()) == layout.c.flat_size);

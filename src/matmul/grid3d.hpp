@@ -15,6 +15,7 @@
 #include "collectives/allgather.hpp"
 #include "collectives/reduce_scatter.hpp"
 #include "collectives/rollback.hpp"
+#include "machine/phase.hpp"
 #include "matmul/distribution.hpp"
 #include "util/matrix.hpp"
 
@@ -81,5 +82,9 @@ inline constexpr const char* kPhaseAllgatherA = "allgather_A";
 inline constexpr const char* kPhaseAllgatherB = "allgather_B";
 inline constexpr const char* kPhaseLocalGemm = "local_gemm";
 inline constexpr const char* kPhaseReduceScatterC = "reduce_scatter_C";
+inline const PhaseId kPhaseAllgatherAId{kPhaseAllgatherA};
+inline const PhaseId kPhaseAllgatherBId{kPhaseAllgatherB};
+inline const PhaseId kPhaseLocalGemmId{kPhaseLocalGemm};
+inline const PhaseId kPhaseReduceScatterCId{kPhaseReduceScatterC};
 
 }  // namespace camb::mm

@@ -40,27 +40,25 @@ Grid3dRankOutputT<T> grid3d_agarwal_body(Session& session,
 
   // Lines 3-4: identical to Algorithm 1.
   if (t0 < 1) {
-    ctx.set_phase(kPhaseAllgatherA);
+    ctx.set_phase(kPhaseAllgatherAId);
     a_flat = coll::allgather(fiber_a, layout.a_counts,
                              fill_chunk_indexed<T>(layout.a), cfg.allgather);
     session.boundary(1, [&] { return snapshot_of<T>({a_flat}); });
   }
   if (t0 < 2) {
-    ctx.set_phase(kPhaseAllgatherB);
+    ctx.set_phase(kPhaseAllgatherBId);
     b_flat = coll::allgather(fiber_b, layout.b_counts,
                              fill_chunk_indexed<T>(layout.b), cfg.allgather);
     session.boundary(2, [&] { return snapshot_of<T>({a_flat, b_flat}); });
   }
   if (t0 < 3) {
-    ctx.set_phase(kPhaseLocalGemm);
-    Matrix<T> a_block(layout.a.rows, layout.a.cols);
-    std::copy(a_flat.begin(), a_flat.end(), a_block.data());
-    Matrix<T> b_block(layout.b.rows, layout.b.cols);
-    std::copy(b_flat.begin(), b_flat.end(), b_block.data());
-    const Matrix<T> d_block = gemm(a_block, b_block);
+    ctx.set_phase(kPhaseLocalGemmId);
+    const Matrix<T> d_block =
+        gemm(Matrix<T>(layout.a.rows, layout.a.cols, std::move(a_flat)),
+             Matrix<T>(layout.b.rows, layout.b.cols, std::move(b_flat)));
 
     // Line 8 the 1995 way: All-to-All the personalized D segments, sum after.
-    ctx.set_phase(kPhaseAlltoallC);
+    ctx.set_phase(kPhaseAlltoallCId);
     const int p2 = static_cast<int>(cfg.grid.p2);
     std::vector<std::vector<T>> pieces(static_cast<std::size_t>(p2));
     for (int t = 0; t < p2; ++t) {

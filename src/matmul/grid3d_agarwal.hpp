@@ -16,6 +16,7 @@
 #pragma once
 
 #include "collectives/alltoall.hpp"
+#include "machine/phase.hpp"
 #include "matmul/grid3d.hpp"
 
 namespace camb::mm {
@@ -52,5 +53,6 @@ i64 grid3d_agarwal_ckpt_snapshot_words(const Grid3dAgarwalConfig& cfg,
                                        int logical, i64 step);
 
 inline constexpr const char* kPhaseAlltoallC = "alltoall_C";
+inline const PhaseId kPhaseAlltoallCId{kPhaseAlltoallC};
 
 }  // namespace camb::mm

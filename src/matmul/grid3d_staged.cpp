@@ -93,7 +93,7 @@ Grid3dStagedRankOutputT<T> grid3d_staged_body(Session& session,
   // held for the whole body.
   const camb::WorkingSet b_ws(ctx, layout.b.block_size(), kElemBytes);
   if (t0 < 1) {
-    ctx.set_phase(kPhaseAllgatherB);
+    ctx.set_phase(kPhaseAllgatherBId);
     b_flat = coll::allgather(fiber_b, layout.b_counts,
                              fill_chunk_indexed<T>(layout.b), cfg.allgather);
     std::copy(b_flat.begin(), b_flat.end(), b_block.data());
@@ -109,7 +109,7 @@ Grid3dStagedRankOutputT<T> grid3d_staged_body(Session& session,
 
     // All-Gather only this strip of A (+ its strip of D below): the staged
     // working set this variant exists to shrink.
-    ctx.set_phase(kPhaseAllgatherA);
+    ctx.set_phase(kPhaseAllgatherAId);
     const camb::WorkingSet strip_ws(
         ctx, (hi - lo) + (r1 - r0) * layout.c.cols, kElemBytes);
     const std::vector<i64> counts = overlap_counts(a_fiber_split, lo, hi);
@@ -121,15 +121,15 @@ Grid3dStagedRankOutputT<T> grid3d_staged_body(Session& session,
     CAMB_CHECK(static_cast<i64>(strip_flat.size()) == hi - lo);
 
     // Multiply the strip against the full B block.
-    ctx.set_phase(kPhaseLocalGemm);
-    Matrix<T> a_strip(r1 - r0, layout.a.cols);
-    std::copy(strip_flat.begin(), strip_flat.end(), a_strip.data());
-    const Matrix<T> d_strip = gemm(a_strip, b_block);
+    ctx.set_phase(kPhaseLocalGemmId);
+    Matrix<T> d_strip =
+        gemm(Matrix<T>(r1 - r0, layout.a.cols, std::move(strip_flat)),
+             b_block);
 
     // Reduce-Scatter this strip of D across the p2 fiber immediately.
-    ctx.set_phase(kPhaseReduceScatterC);
+    ctx.set_phase(kPhaseReduceScatterCId);
     const BlockDist1D seg(d_strip.size(), cfg.grid.p2);
-    std::vector<T> d_flat(d_strip.data(), d_strip.data() + d_strip.size());
+    std::vector<T> d_flat = std::move(d_strip).release();
     out.c_data.push_back(coll::reduce_scatter(fiber_c, seg.counts(), d_flat,
                                               cfg.reduce_scatter));
     out.c_chunks.push_back(chunk_of_stage(stage));

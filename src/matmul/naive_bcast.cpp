@@ -36,7 +36,7 @@ Block2DOutputT<T> naive_bcast_body(Session& session,
 
   // Rank 0 materializes both inputs; everyone receives full copies.
   if (t0 < 1) {
-    ctx.set_phase(kPhaseNaiveBcast);
+    ctx.set_phase(kPhaseNaiveBcastId);
     if (me == 0) {
       a_flat = fill_chunk_indexed<T>(BlockChunk{0, 0, s.n1, s.n2, 0,
                                                 s.size_a()});
@@ -45,7 +45,7 @@ Block2DOutputT<T> naive_bcast_body(Session& session,
     session.boundary(1, [&] { return snapshot_of<T>({a_flat}); });
   }
   if (t0 < 2) {
-    ctx.set_phase(kPhaseNaiveBcast);
+    ctx.set_phase(kPhaseNaiveBcastId);
     if (me == 0) {
       b_flat = fill_chunk_indexed<T>(BlockChunk{0, 0, s.n2, s.n3, 0,
                                                 s.size_b()});
@@ -55,7 +55,7 @@ Block2DOutputT<T> naive_bcast_body(Session& session,
   }
   if (t0 < 3) {
     // Each rank computes its row slice of C.
-    ctx.set_phase(kPhaseNaiveGemm);
+    ctx.set_phase(kPhaseNaiveGemmId);
     Matrix<T> a_mine(rows.size(me), s.n2);
     std::copy(a_flat.begin() + rows.start(me) * s.n2,
               a_flat.begin() + rows.end(me) * s.n2, a_mine.data());
@@ -74,7 +74,7 @@ Block2DOutputT<T> naive_bcast_body(Session& session,
   std::copy(c_flat.begin(), c_flat.end(), out.block.data());
 
   // Gather the slices onto rank 0 (the "one copy of the output" finale).
-  ctx.set_phase(kPhaseNaiveGather);
+  ctx.set_phase(kPhaseNaiveGatherId);
   std::vector<i64> counts(static_cast<std::size_t>(p));
   for (int r = 0; r < p; ++r) {
     counts[static_cast<std::size_t>(r)] = rows.size(r) * s.n3;

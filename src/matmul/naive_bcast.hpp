@@ -8,6 +8,7 @@
 // (every rank receives the full inputs, independent of P).
 #pragma once
 
+#include "machine/phase.hpp"
 #include "matmul/distribution.hpp"
 #include "matmul/summa.hpp"
 
@@ -43,5 +44,8 @@ i64 naive_bcast_ckpt_snapshot_words(const NaiveBcastConfig& cfg, int logical,
 inline constexpr const char* kPhaseNaiveBcast = "naive_bcast";
 inline constexpr const char* kPhaseNaiveGemm = "naive_gemm";
 inline constexpr const char* kPhaseNaiveGather = "naive_gather";
+inline const PhaseId kPhaseNaiveBcastId{kPhaseNaiveBcast};
+inline const PhaseId kPhaseNaiveGemmId{kPhaseNaiveGemm};
+inline const PhaseId kPhaseNaiveGatherId{kPhaseNaiveGather};
 
 }  // namespace camb::mm

@@ -45,24 +45,22 @@ Block2DOutputT<T> summa_body(Session& session, const SummaConfig& cfg) {
   }
   for (i64 t = session.resume_step(); t < g; ++t) {
     // A block-column t travels along each row; B block-row t along columns.
-    ctx.set_phase(kPhaseSummaBcastA);
+    ctx.set_phase(kPhaseSummaBcastAId);
     std::vector<T> a_panel = (t == j) ? a_own : std::vector<T>{};
     const i64 a_elems = d1.size(i) * d2.size(t);
     coll::bcast(my_row, static_cast<int>(t), a_panel, a_elems, cfg.bcast,
                 cfg.bcast_segments);
 
-    ctx.set_phase(kPhaseSummaBcastB);
+    ctx.set_phase(kPhaseSummaBcastBId);
     std::vector<T> b_panel = (t == i) ? b_own : std::vector<T>{};
     const i64 b_elems = d2.size(t) * d3.size(j);
     coll::bcast(my_col, static_cast<int>(t), b_panel, b_elems, cfg.bcast,
                 cfg.bcast_segments);
 
-    ctx.set_phase(kPhaseSummaGemm);
-    Matrix<T> a_mat(d1.size(i), d2.size(t));
-    std::copy(a_panel.begin(), a_panel.end(), a_mat.data());
-    Matrix<T> b_mat(d2.size(t), d3.size(j));
-    std::copy(b_panel.begin(), b_panel.end(), b_mat.data());
-    gemm_accumulate(a_mat, b_mat, c_block);
+    ctx.set_phase(kPhaseSummaGemmId);
+    gemm_accumulate(Matrix<T>(d1.size(i), d2.size(t), std::move(a_panel)),
+                    Matrix<T>(d2.size(t), d3.size(j), std::move(b_panel)),
+                    c_block);
 
     session.boundary(t + 1, [&] {
       return snapshot_of<T>(

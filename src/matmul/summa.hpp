@@ -12,6 +12,7 @@
 #include "collectives/bcast.hpp"
 #include "collectives/rollback.hpp"
 #include "machine/machine.hpp"
+#include "machine/phase.hpp"
 #include "matmul/distribution.hpp"
 #include "util/matrix.hpp"
 
@@ -63,5 +64,8 @@ i64 summa_ckpt_snapshot_words(const SummaConfig& cfg, int logical, i64 step);
 inline constexpr const char* kPhaseSummaBcastA = "summa_bcast_A";
 inline constexpr const char* kPhaseSummaBcastB = "summa_bcast_B";
 inline constexpr const char* kPhaseSummaGemm = "summa_gemm";
+inline const PhaseId kPhaseSummaBcastAId{kPhaseSummaBcastA};
+inline const PhaseId kPhaseSummaBcastBId{kPhaseSummaBcastB};
+inline const PhaseId kPhaseSummaGemmId{kPhaseSummaGemm};
 
 }  // namespace camb::mm

@@ -56,6 +56,21 @@ class Matrix {
         data_(static_cast<std::size_t>(checked_mul(rows, cols)), init) {
     CAMB_CHECK_MSG(rows >= 0 && cols >= 0, "matrix dimensions must be >= 0");
   }
+  /// Adopt `data` (row-major, exactly rows x cols elements) as the storage:
+  /// a move, never a copy — how received panels become GEMM operands.
+  Matrix(i64 rows, i64 cols, std::vector<T>&& data)
+      : rows_(rows), cols_(cols), data_(std::move(data)) {
+    CAMB_CHECK_MSG(rows >= 0 && cols >= 0, "matrix dimensions must be >= 0");
+    CAMB_CHECK_MSG(static_cast<i64>(data_.size()) == checked_mul(rows, cols),
+                   "adopted storage does not match the matrix shape");
+  }
+
+  /// Give the storage back (the inverse of adoption), leaving this empty.
+  std::vector<T> release() && {
+    rows_ = 0;
+    cols_ = 0;
+    return std::move(data_);
+  }
 
   i64 rows() const { return rows_; }
   i64 cols() const { return cols_; }

@@ -1,12 +1,15 @@
 // Unit tests for the communicator layer: Comm construction and validation
-// (including the group-size-512 regression for the single-pass duplicate
-// check), tag-lease allocation and exhaustion, and split.
+// (including the group-size-512 regression for the duplicate check and the
+// named duplicate / out-of-range errors), tag-lease allocation and
+// exhaustion, and split.
 #include "collectives/comm.hpp"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <mutex>
 #include <numeric>
+#include <string>
 
 #include "machine/machine.hpp"
 
@@ -62,9 +65,10 @@ TEST(TagAllocator, LeaseGeometry) {
 // ---------------------------------------------------------------------------
 
 TEST(CommValidation, GroupSize512SinglePass) {
-  // Regression for the O(n^2) duplicate scan replaced by a bitmask pass:
-  // construction of a 512-member comm (and rejection of a duplicate buried
-  // at its end) must be exact at sizes where the quadratic scan hurt.
+  // Regression for the O(n^2) duplicate scan (now a sorted copy of the
+  // member list): construction of a 512-member comm (and rejection of a
+  // duplicate buried at its end) must be exact at sizes where the quadratic
+  // scan hurt.
   const int P = 512;
   Machine machine(P);
   machine.run([&](RankCtx& ctx) {
@@ -81,6 +85,41 @@ TEST(CommValidation, GroupSize512SinglePass) {
     std::vector<int> oob = everyone;
     oob.back() = P;  // one past the machine
     EXPECT_THROW(coll::Comm(ctx, oob), Error);
+  });
+}
+
+/// The message of the Error `make` throws, or "" if it throws none.
+std::string comm_error(const std::function<void()>& make) {
+  try {
+    make();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CommValidation, NamesDuplicateAndOutOfRangeMembers) {
+  // Validation costs O(p log p) in the comm size, not O(P) in the machine
+  // size, and names which rule a member list broke.
+  Machine machine(64);
+  machine.run([&](RankCtx& ctx) {
+    if (ctx.rank() != 5) return;
+    const std::string distinct = "comm ranks must be distinct";
+    const std::string range = "comm rank out of range";
+    EXPECT_NE(comm_error([&] { coll::Comm(ctx, {5, 40, 3, 40}); })
+                  .find(distinct),
+              std::string::npos);
+    EXPECT_NE(comm_error([&] { coll::Comm(ctx, {63, 5, 63}); }).find(distinct),
+              std::string::npos);
+    EXPECT_NE(comm_error([&] { coll::Comm(ctx, {5, 64}); }).find(range),
+              std::string::npos);
+    EXPECT_NE(comm_error([&] { coll::Comm(ctx, {-1, 5}); }).find(range),
+              std::string::npos);
+    // Unsorted, distinct, in range: accepted, order kept.
+    const coll::Comm ok(ctx, {40, 5, 3});
+    EXPECT_EQ(ok.my_index(), 1);
+    EXPECT_EQ(ok.rank_at(0), 40);
+    EXPECT_EQ(comm_error([&] { coll::Comm(ctx, {63, 0, 5}); }), "");
   });
 }
 
