@@ -47,6 +47,7 @@
 #endif
 
 #ifdef CAMB_FIBER_ASAN
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 #ifdef CAMB_FIBER_TSAN
@@ -73,6 +74,18 @@ std::size_t page_size() {
   static const std::size_t page =
       static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
   return page;
+}
+
+// A fresh stack mapping can reuse the addresses of an earlier run's fiber
+// stacks, and ASan still holds those frames' stale stack poison; clear it
+// before any fiber runs there.
+void unpoison_stack(void* base, std::size_t bytes) {
+#ifdef CAMB_FIBER_ASAN
+  __asan_unpoison_memory_region(base, bytes);
+#else
+  (void)base;
+  (void)bytes;
+#endif
 }
 
 std::size_t default_stack_bytes() {
@@ -322,8 +335,9 @@ void FiberWaitList::notify_all() {
   // Wake under the list's own mutex and clear in place: the vector keeps
   // its capacity, so the next park allocates nothing (waking outside the
   // lock would need the waiters swapped into a fresh vector — one
-  // allocation per park).  Lock order is list -> scheduler; nothing takes
-  // them the other way round.
+  // allocation per park).  Lock order is list -> one run queue, then list
+  // -> idle lock (never both at once); nothing takes them the other way
+  // round.
   std::lock_guard<std::mutex> guard(mutex_);
   for (Fiber* fiber : waiters_) {
     const int prev = fiber->wake_.exchange(Fiber::kWakeNotified,
@@ -503,6 +517,7 @@ FiberStack FiberScheduler::allocate_stack(std::size_t stack_bytes) {
     out.alloc_base = base;
     out.base = static_cast<unsigned char*>(base) + page;
     out.owned = true;
+    unpoison_stack(out.base, stack);
     return out;
   }
   if (slab_left_ < stack) {
@@ -514,6 +529,7 @@ FiberStack FiberScheduler::allocate_stack(std::size_t stack_bytes) {
     slabs_.emplace_back(slab, bytes);
     slab_cursor_ = static_cast<unsigned char*>(slab) + page;
     slab_left_ = kStacksPerSlab * stack;
+    unpoison_stack(slab_cursor_, slab_left_);
   }
   out.base = slab_cursor_;
   out.owned = false;
@@ -523,39 +539,123 @@ FiberStack FiberScheduler::allocate_stack(std::size_t stack_bytes) {
 }
 
 void FiberScheduler::enqueue(Fiber* fiber) {
-  {
-    std::lock_guard<std::mutex> guard(mutex_);
-    fiber->phase_ = Fiber::Phase::kRunnable;
-    runq_.push_back(fiber);
-  }
-  cv_.notify_one();
+  active_.fetch_add(1, std::memory_order_relaxed);
+  push(fiber);
 }
 
-Fiber* FiberScheduler::take_next() {
-  std::size_t idx = 0;
-  if (chaos_ && runq_.size() > 1) {
-    idx = static_cast<std::size_t>(splitmix64(pick_state_) % runq_.size());
+void FiberScheduler::push(Fiber* fiber) {
+  WorkerQueue& home = queues_[fiber->index_ % nworkers_];
+  {
+    std::lock_guard<std::mutex> guard(home.mutex);
+    fiber->phase_ = Fiber::Phase::kRunnable;
+    home.runq.push_back(fiber);
   }
-  Fiber* fiber = runq_[idx];
-  runq_.erase(idx);
+  // A sleeper enlists under idle_mutex_ and then checks every ring under
+  // its lock, so it either sees this fiber or is counted here — and taking
+  // idle_mutex_ before notifying means it is already waiting.
+  if (sleepers_.load(std::memory_order_seq_cst) > 0) {
+    std::lock_guard<std::mutex> guard(idle_mutex_);
+    idle_cv_.notify_one();
+  }
+}
+
+void FiberScheduler::retire() {
+  if (active_.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+  stop_.store(true, std::memory_order_release);
+  {
+    // A worker checks stop_ under this lock before it waits.
+    std::lock_guard<std::mutex> guard(idle_mutex_);
+  }
+  idle_cv_.notify_all();
+}
+
+Fiber* FiberScheduler::pop(int self) {
+  WorkerQueue& own = queues_[self];
+  std::lock_guard<std::mutex> guard(own.mutex);
+  if (own.runq.empty()) return nullptr;
+  std::size_t idx = 0;
+  if (chaos_ && own.runq.size() > 1) {
+    idx = static_cast<std::size_t>(splitmix64(pick_state_) % own.runq.size());
+  }
+  Fiber* fiber = own.runq[idx];
+  own.runq.erase(idx);
   return fiber;
+}
+
+Fiber* FiberScheduler::steal(int self) {
+  WorkerQueue& own = queues_[self];
+  for (int k = 1; k < nworkers_; ++k) {
+    WorkerQueue& victim = queues_[(self + k) % nworkers_];
+    std::scoped_lock guard(victim.mutex, own.mutex);
+    const std::size_t take = (victim.runq.size() + 1) / 2;
+    if (take == 0) continue;
+    Fiber* fiber = victim.runq.front();
+    victim.runq.pop_front();
+    for (std::size_t i = 1; i < take; ++i) {
+      own.runq.push_back(victim.runq.front());
+      victim.runq.pop_front();
+    }
+    return fiber;
+  }
+  return nullptr;
+}
+
+bool FiberScheduler::any_queued() {
+  for (int w = 0; w < nworkers_; ++w) {
+    std::lock_guard<std::mutex> guard(queues_[w].mutex);
+    if (!queues_[w].runq.empty()) return true;
+  }
+  return false;
+}
+
+Fiber* FiberScheduler::find_work(int self) {
+  constexpr int kSpinRounds = 64;
+  for (int round = 0;; ++round) {
+    if (Fiber* fiber = pop(self)) return fiber;
+    if (Fiber* fiber = steal(self)) return fiber;
+    if (stop_.load(std::memory_order_acquire)) return nullptr;
+    if (round < kSpinRounds) {
+      std::this_thread::yield();
+      continue;
+    }
+    std::unique_lock<std::mutex> lock(idle_mutex_);
+    sleepers_.fetch_add(1, std::memory_order_seq_cst);
+    if (!stop_.load(std::memory_order_acquire) && !any_queued()) {
+      idle_cv_.wait(lock);
+    }
+    sleepers_.fetch_sub(1, std::memory_order_relaxed);
+    round = 0;
+  }
 }
 
 void FiberScheduler::execute() {
   const int n = static_cast<int>(fibers_.size());
-  live_ = n;
-  for (Fiber* fiber : fibers_) runq_.push_back(fiber);
   int workers = opts_.workers;
   if (chaos_) {
     workers = 1;  // one worker makes a seeded schedule fully reproducible
   } else if (workers <= 0) {
     workers = static_cast<int>(std::thread::hardware_concurrency());
   }
-  workers = std::max(1, std::min(workers, n));
-  WorkerPool::instance().run(workers, [this](int) { worker_loop(); });
-  if (deadlock_) {
+  nworkers_ = std::max(1, std::min(workers, n));
+  queues_ =
+      std::make_unique<WorkerQueue[]>(static_cast<std::size_t>(nworkers_));
+  // A steal can move any fiber to any ring, so each ring is reserved to the
+  // fiber count: no push ever allocates on the message path.
+  for (int w = 0; w < nworkers_; ++w) {
+    queues_[w].runq.reserve(static_cast<std::size_t>(n));
+  }
+  for (Fiber* fiber : fibers_) {
+    queues_[fiber->index_ % nworkers_].runq.push_back(fiber);
+  }
+  active_.store(n, std::memory_order_relaxed);
+  WorkerPool::instance().run(nworkers_, [this](int w) { worker_loop(w); });
+  const auto parked =
+      std::count_if(fibers_.begin(), fibers_.end(), [](const Fiber* f) {
+        return f->phase_ != Fiber::Phase::kDone;
+      });
+  if (parked > 0) {
     std::ostringstream msg;
-    msg << "fiber scheduler deadlock: " << live_ << " of " << fibers_.size()
+    msg << "fiber scheduler deadlock: " << parked << " of " << fibers_.size()
         << " ranks parked with nothing runnable; parked ranks:";
     int listed = 0;
     for (Fiber* fiber : fibers_) {
@@ -573,7 +673,7 @@ void FiberScheduler::execute() {
   }
 }
 
-void FiberScheduler::worker_loop() {
+void FiberScheduler::worker_loop(int self) {
   FiberContext wctx;
   init_worker_context(wctx);
 #ifndef CAMB_FIBER_X86_64
@@ -583,14 +683,7 @@ void FiberScheduler::worker_loop() {
   const auto worker_uctx = std::make_unique<ucontext_t>();
   wctx.uctx = worker_uctx.get();
 #endif
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    cv_.wait(lock, [&] { return !runq_.empty() || live_ == 0 || deadlock_; });
-    if (live_ == 0 || deadlock_) return;
-    Fiber* fiber = take_next();
-    ++running_;
-    lock.unlock();
-
+  while (Fiber* fiber = find_work(self)) {
     fiber->ret_ = &wctx;
     fiber->phase_ = Fiber::Phase::kRunning;
     tl_current_fiber = fiber;
@@ -598,49 +691,27 @@ void FiberScheduler::worker_loop() {
     tl_current_fiber = nullptr;
     const Fiber::Phase phase = fiber->phase_;
 
-    lock.lock();
     if (phase == Fiber::Phase::kDone) {
-      --running_;
-      --live_;
-      lock.unlock();
       fiber->check_stack_canary();
       fiber->release_stack();  // bound resident memory during huge runs
-      lock.lock();
-      if (live_ == 0) cv_.notify_all();
+      retire();
     } else if (phase == Fiber::Phase::kYielded) {
-      --running_;
-      runq_.push_back(fiber);
-      cv_.notify_one();
-    } else {  // Phase::kParking — finish the park handshake off the lock
+      push(fiber);
+    } else {  // Phase::kParking — finish the park handshake
       // The phase must be written before the exchange below: the instant
       // the exchange publishes kWakeParked, a notifier may requeue the
-      // fiber and another worker may resume it.  running_ stays elevated
-      // until the whole handshake (exchange + possible requeue) is done, so
-      // no other worker can observe "queue empty, nothing running, fibers
-      // live" while a notified fiber is still in flight between the unlock
-      // and the exchange — that window used to read as a false deadlock.
+      // fiber and another worker may resume it.  The fiber stays in the
+      // quiescence count until the handshake (exchange + possible requeue)
+      // is done, so the count cannot reach 0 — sending the other workers
+      // home — while a notified fiber is still in flight.
       fiber->phase_ = Fiber::Phase::kParked;
-      lock.unlock();
       const int prev = fiber->wake_.exchange(Fiber::kWakeParked,
                                              std::memory_order_acq_rel);
-      lock.lock();
       if (prev == Fiber::kWakeNotified) {
-        // The notifier fired mid-switch; requeue now (inline — mutex_ is
-        // already held, so enqueue() would self-deadlock).
-        fiber->phase_ = Fiber::Phase::kRunnable;
-        runq_.push_back(fiber);
-        cv_.notify_one();
+        push(fiber);  // the notifier fired mid-switch; still counted
+      } else {
+        retire();
       }
-      --running_;
-    }
-    // Every wakeup originates from a running fiber (notify paths) or from
-    // this worker's own post-processing (just finished), so an empty run
-    // queue with nothing running and fibers still live is a genuine
-    // deadlock — report it instead of hanging like thread-per-rank does.
-    if (runq_.empty() && running_ == 0 && live_ > 0) {
-      deadlock_ = true;
-      cv_.notify_all();
-      return;
     }
   }
 }

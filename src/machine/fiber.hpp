@@ -18,14 +18,28 @@
 // yields, so code between communication calls runs exactly as it does under
 // threads.
 //
+// Run queues: each worker owns one FIFO ring behind its own mutex, and rank
+// i lives on worker i mod w — it starts there and every wake puts it back
+// there.  A worker runs its own ring; when that is empty it steals the older
+// half of another worker's ring (both locks taken together), spins briefly,
+// then sleeps on one idle condition variable that a push signals only when
+// some worker is asleep.  No lock is shared by all workers on the hot path.
+//
+// Termination and deadlock: one atomic quiescence count holds the fibers
+// that are queued, running, or inside a park handshake.  Only a running
+// fiber can wake a parked one, so when the count reaches 0 nothing can run
+// again: the run is over, and if any fiber is not done it is a deadlock,
+// reported as an Error naming the parked ranks.
+//
 // Determinism contract: simulation results (per-rank word/message counts,
 // logical clocks, output bits) are invariant to the interleaving of rank
 // bodies by construction — mailbox matching is FIFO per (src, tag) envelope,
 // crash positions are program-order facts, and all "time" is the logical
 // α-β clock, never wall clock.  The fiber scheduler therefore does not need
 // a deterministic schedule to reproduce results; the interleave_seed knob
-// exists to *fuzz* that contract (seeded random run-queue picks plus forced
-// yields after each send/receive) and is pinned by test_fiber_scheduler.
+// exists to *fuzz* that contract (one worker and one ring, seeded random
+// run-queue picks plus forced yields after each send/receive) and is pinned
+// by test_fiber_scheduler, down to the receive order of each seed.
 //
 // Parking protocol (lost-wakeup freedom): a parking fiber publishes
 // kWakeParking and enlists itself on the wait list *while still holding the
@@ -33,7 +47,9 @@
 // to kWakeNotified; the scheduler, after switching away from the fiber,
 // exchanges to kWakeParked.  Whichever side observes the other's value
 // requeues the fiber — exactly one of them does, no matter how the two
-// exchanges interleave.
+// exchanges interleave.  The worker keeps the fiber in the quiescence count
+// until its exchange is done, so the count cannot touch 0 while a notified
+// fiber is in flight.
 #pragma once
 
 #include <atomic>
@@ -42,6 +58,7 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -108,6 +125,12 @@ struct FiberContext {
 /// race-free for notifiers that notify after releasing that mutex.
 class FiberWaitList {
  public:
+  /// Room for one waiter up front: a mailbox's list never holds more than
+  /// its owner, so a first park allocates nothing — and how many ranks
+  /// happen to park at least once, which depends on the schedule, does not
+  /// change a run's allocation count.
+  FiberWaitList() { waiters_.reserve(1); }
+
   void add(Fiber* fiber);
   void notify_all();
 
@@ -205,7 +228,8 @@ class Fiber {
 /// Runs n rank bodies as fibers on WorkerPool threads and blocks until all
 /// finish.  Unlike thread-per-rank execution — which silently hangs — a run
 /// where every live fiber is parked with nothing runnable is detected and
-/// reported as an Error naming the parked ranks.
+/// reported as an Error naming the parked ranks.  Scheduling follows the
+/// header comment: per-worker rings, stealing, one quiescence count.
 class FiberScheduler {
  public:
   struct Options {
@@ -226,10 +250,27 @@ class FiberScheduler {
                  const Options& opts);
   ~FiberScheduler();
 
+  /// One worker's run queue.  Cache-line aligned so two workers' locks never
+  /// share a line.
+  struct alignas(64) WorkerQueue {
+    std::mutex mutex;
+    RingQueue<Fiber*> runq;  ///< reserved to the fiber count: never grows
+  };
+
   void execute();
-  void worker_loop();
+  void worker_loop(int self);
+  /// The next fiber for worker `self`: its own ring, else a steal, else spin
+  /// and sleep until work arrives; nullptr once the run is over.
+  Fiber* find_work(int self);
+  Fiber* pop(int self);    // seeded random pick in chaos mode
+  Fiber* steal(int self);  // older half of the first non-empty victim
+  bool any_queued();  // each ring checked under its own lock
+  /// A parked fiber became runnable: count it, then push it.
   void enqueue(Fiber* fiber);
-  Fiber* take_next();  // under mutex_; seeded random pick in chaos mode
+  /// Put an already counted fiber on its home ring and wake a sleeper.
+  void push(Fiber* fiber);
+  /// One fiber left the quiescence count; the last one ends the run.
+  void retire();
 
   /// Carve out one fiber stack (construction-time, serial).  Dedicated
   /// guarded mapping below the packed threshold, slab slice above it.
@@ -245,13 +286,15 @@ class FiberScheduler {
   unsigned char* slab_cursor_ = nullptr;
   std::size_t slab_left_ = 0;
 
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  RingQueue<Fiber*> runq_;  ///< keeps its capacity: enqueue never allocates
-  int running_ = 0;   ///< fibers currently on a worker
-  int live_ = 0;      ///< fibers not yet done
-  bool deadlock_ = false;
+  int nworkers_ = 1;
+  std::unique_ptr<WorkerQueue[]> queues_;
   std::uint64_t pick_state_ = 0;  ///< chaos-mode splitmix64 stream
+  /// Fibers queued, running, or mid park handshake; 0 ends the run.
+  std::atomic<int> active_{0};
+  std::atomic<bool> stop_{false};
+  std::mutex idle_mutex_;
+  std::condition_variable idle_cv_;
+  std::atomic<int> sleepers_{0};  ///< changed only under idle_mutex_
 };
 
 /// The shape every blocking site uses: wait until pred() holds, yielding to

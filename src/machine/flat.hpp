@@ -65,11 +65,20 @@ class RingQueue {
     size_ = 0;
   }
 
+  /// Make room for n elements, so the next n - size() pushes never grow.
+  void reserve(std::size_t n) {
+    std::size_t cap = std::max<std::size_t>(8, buf_.size());
+    while (cap < n) cap *= 2;
+    if (cap != buf_.size()) resize(cap);
+  }
+
  private:
   std::size_t mask() const { return buf_.size() - 1; }
 
-  void grow() {
-    std::vector<T> bigger(std::max<std::size_t>(8, buf_.size() * 2));
+  void grow() { resize(std::max<std::size_t>(8, buf_.size() * 2)); }
+
+  void resize(std::size_t cap) {
+    std::vector<T> bigger(cap);
     for (std::size_t i = 0; i < size_; ++i) bigger[i] = std::move((*this)[i]);
     buf_.swap(bigger);
     head_ = 0;

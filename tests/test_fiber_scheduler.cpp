@@ -102,6 +102,102 @@ TEST(FiberScheduler, DeadlockDetectedAndReported) {
   }
 }
 
+/// Some fibers finish and the rest park forever: the quiescence count still
+/// reaches 0, and the error names exactly the parked ranks.
+TEST(FiberScheduler, PartialProgressDeadlockNamesTheParkedRanks) {
+  FiberScheduler::Options opts;
+  opts.workers = 4;
+  std::mutex m;
+  FiberWaitList never_notified;
+  std::atomic<int> finished{0};
+  try {
+    FiberScheduler::run(
+        64,
+        [&](int i) {
+          if (i % 2 == 0 || i > 16) {
+            finished.fetch_add(1);
+            return;
+          }
+          std::unique_lock<std::mutex> lock(m);
+          Fiber::current()->park_on(never_notified, lock);
+        },
+        opts);
+    FAIL() << "deadlock was not detected";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("8 of 64 ranks parked with nothing runnable; "
+                        "parked ranks: 1 3 5 7 9 11 13 15"),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_EQ(finished.load(), 56);
+}
+
+/// Steal-heavy traffic on 4 workers: a token passed around 1,024 fibers
+/// (one runnable fiber at a time, so whichever worker is awake steals it
+/// from the sleeping home worker), then a fan-in where every fiber wakes
+/// rank 0.  Every repetition must finish with no deadlock reported: the
+/// run may end only when nothing is queued, running or mid-park.
+TEST(FiberScheduler, TokenRingAndFanInOnFourWorkersNeverFalselyDeadlock) {
+  constexpr int kFibers = 1024;
+  constexpr int kRounds = 3;
+  FiberScheduler::Options opts;
+  opts.workers = 4;
+  for (int rep = 0; rep < 10; ++rep) {
+    std::mutex m;
+    std::vector<FiberWaitList> turn(kFibers);
+    FiberWaitList fan_in;
+    long token = 0;
+    int arrived = 0;
+    FiberScheduler::run(
+        kFibers,
+        [&](int i) {
+          std::unique_lock<std::mutex> lock(m);
+          for (int r = 0; r < kRounds; ++r) {
+            while (token != static_cast<long>(r) * kFibers + i) {
+              Fiber::current()->park_on(turn[static_cast<std::size_t>(i)],
+                                        lock);
+            }
+            ++token;
+            turn[static_cast<std::size_t>((i + 1) % kFibers)].notify_all();
+          }
+          ++arrived;
+          if (i == 0) {
+            while (arrived < kFibers) Fiber::current()->park_on(fan_in, lock);
+          } else {
+            fan_in.notify_all();
+          }
+        },
+        opts);
+    EXPECT_EQ(token, static_cast<long>(kRounds) * kFibers);
+    EXPECT_EQ(arrived, kFibers);
+  }
+}
+
+/// Two schedules in one process, the first spread over 4 workers with one
+/// ring holding all the work (the other three must steal it), the second
+/// ending in a rank-body exception.  Under ASan the second run's fresh
+/// stacks reuse the first run's addresses; they must come back unpoisoned.
+TEST(FiberScheduler, StealingRunThenThrowingRunInOneProcess) {
+  FiberScheduler::Options opts;
+  opts.workers = 4;
+  std::atomic<long> sum{0};
+  FiberScheduler::run(
+      256,
+      [&](int i) {
+        if (i % 4 != 0) return;  // rings 1-3 drain at once
+        long local = 0;
+        for (int k = 0; k < 20000; ++k) local += k % (i + 1);
+        sum.fetch_add(local + 1);
+      },
+      opts);
+  EXPECT_GT(sum.load(), 0);
+  const auto throwing = [](int i) {
+    if (i == 17) throw Error("rank 17");
+  };
+  EXPECT_THROW(FiberScheduler::run(32, throwing, opts), Error);
+}
+
 TEST(FiberScheduler, KindNamesRoundTrip) {
   EXPECT_EQ(scheduler_kind_from_name("threads"), SchedulerKind::kThreads);
   EXPECT_EQ(scheduler_kind_from_name("fibers"), SchedulerKind::kFibers);
@@ -214,6 +310,75 @@ TEST(FiberInterleavingFuzz, ChaosScheduleIsReplayable) {
   const Observables a = observe(algo.run_opts(shape, 9, chaos));
   const Observables b = observe(algo.run_opts(shape, 9, chaos));
   EXPECT_TRUE(a == b);
+}
+
+/// The ranks in the order they finish their receives, one entry per
+/// receive, for a 4×4 SUMMA broadcast pattern (stage t: rank (i, t) sends
+/// its A panel along row i, rank (t, j) its B panel along column j) under
+/// chaos seed `seed`.  Chaos mode runs one worker, so the log is the
+/// schedule itself rather than a race between workers.
+std::vector<int> chaos_receive_order(std::uint64_t seed) {
+  constexpr int kEdge = 4;
+  Machine machine(kEdge * kEdge);
+  SchedulerSpec spec;
+  spec.kind = SchedulerKind::kFibers;
+  spec.interleave_seed = seed;
+  machine.set_scheduler(spec);
+  std::mutex m;
+  std::vector<int> order;
+  machine.run([&](RankCtx& ctx) {
+    const int i = ctx.rank() / kEdge;
+    const int j = ctx.rank() % kEdge;
+    for (int t = 0; t < kEdge; ++t) {
+      const std::vector<double> panel(4, static_cast<double>(t));
+      if (j == t) {
+        for (int jj = 0; jj < kEdge; ++jj) {
+          if (jj != t) ctx.send(i * kEdge + jj, 2 * t, panel);
+        }
+      } else {
+        (void)ctx.recv(i * kEdge + t, 2 * t);
+        std::lock_guard<std::mutex> guard(m);
+        order.push_back(ctx.rank());
+      }
+      if (i == t) {
+        for (int ii = 0; ii < kEdge; ++ii) {
+          if (ii != t) ctx.send(ii * kEdge + j, 2 * t + 1, panel);
+        }
+      } else {
+        (void)ctx.recv(t * kEdge + j, 2 * t + 1);
+        std::lock_guard<std::mutex> guard(m);
+        order.push_back(ctx.rank());
+      }
+    }
+  });
+  return order;
+}
+
+/// FNV-1a over the log.
+std::uint64_t digest(const std::vector<int>& order) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (int r : order) {
+    h ^= static_cast<std::uint64_t>(r);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// The chaos schedule itself, not just its observables (which are
+/// schedule-invariant by construction): every seed must replay the exact
+/// receive order recorded before the scheduler moved to per-worker queues,
+/// and two runs of one seed must agree.
+TEST(FiberInterleavingFuzz, ChaosScheduleMatchesRecordedReceiveOrder) {
+  const std::uint64_t kRecorded[8] = {
+      0x53ee9e59ac21b977ULL, 0x91a7d54ece84f139ULL, 0xfd1ea84a761ffa27ULL,
+      0xf8b6e6800499e1cbULL, 0xa8c95e1e07ae0fb9ULL, 0x3a6289643a81c891ULL,
+      0x1adb21db7be3efdfULL, 0xc3a261d1163b3d47ULL};
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const std::vector<int> a = chaos_receive_order(seed);
+    EXPECT_EQ(a.size(), 96u);
+    EXPECT_EQ(a, chaos_receive_order(seed)) << "seed " << seed;
+    EXPECT_EQ(digest(a), kRecorded[seed - 1]) << "seed " << seed;
+  }
 }
 
 // ---------------------------------------------------------------------------
